@@ -108,7 +108,7 @@ fn main() {
     let m = b.run("solver_kernel/canonicalize_64k", || {
         probe::canon_kernel(64_000, KSEED)
     });
-    m.extra.add("iters", 64_000u64);
+    m.extra.add("keys", 64_000u64);
     for (label, delta) in [
         ("solver_kernel/heur_scratch_8k", false),
         ("solver_kernel/heur_delta_8k", true),

@@ -63,7 +63,9 @@ fn main() {
         let hier_inst = HierInstance::from_mpp(&mpp, 1, green_cost);
         let hier = solve_hier(&hier_inst, limits()).expect("hier solve");
 
-        // Cross-solver check: two independent engines, one optimum.
+        // The cap = 0 solve builds no green tier: it runs the vanilla
+        // search through the hier entry point, witness mapping and
+        // `validate_hier` replay, and must land on the same optimum.
         assert_eq!(
             vanilla.total, degenerate.total,
             "hier(cap=0) diverged from the vanilla solver on c={c}"

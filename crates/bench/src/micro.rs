@@ -34,7 +34,14 @@ pub struct Measurement {
     pub extra: CounterSet,
 }
 
+/// The timing fields every measurement serializes; an extra counter may
+/// not reuse one of these keys.
+const TIMING_KEYS: [&str; 5] = ["name", "iters", "median_ns", "mean_ns", "min_ns"];
+
 impl Measurement {
+    /// Serializes the timings and the extra counters as one JSON
+    /// object. Panics if an extra counter's key collides with a timing
+    /// field, which would write a duplicate key.
     fn to_json(&self) -> Json {
         let mut obj = vec![
             ("name".to_string(), Json::from(self.name.as_str())),
@@ -44,6 +51,11 @@ impl Measurement {
             ("min_ns".to_string(), Json::from(self.min_ns)),
         ];
         for (k, v) in self.extra.iter() {
+            assert!(
+                !TIMING_KEYS.contains(&k),
+                "extra counter `{k}` of `{}` collides with a timing field",
+                self.name
+            );
             obj.push((k.to_string(), Json::from(v)));
         }
         Json::Obj(obj)
@@ -214,6 +226,16 @@ mod tests {
         let json = b.to_json();
         assert!(json.contains("\"suite\": \"unit_test\""));
         assert!(json.contains("\"settled\": 42"));
+    }
+
+    #[test]
+    #[should_panic(expected = "extra counter `iters` of `noop` collides with a timing field")]
+    fn extra_counter_may_not_shadow_a_timing_field() {
+        let mut b = Bench::new("unit_test_collision");
+        b.warmup = Duration::from_millis(0);
+        b.measure = Duration::from_millis(0);
+        b.run("noop", || 1 + 1).extra.add("iters", 64);
+        let _ = b.to_json();
     }
 
     #[test]

@@ -69,11 +69,6 @@ pub type EmitFn<'a, K> = &'a mut dyn FnMut(K, u64, PackedMove, HeurThunk<'_>);
 /// never sees raw states) and must keep the emission order
 /// deterministic — the sequential engine's tie-breaking, and therefore
 /// its exact witness, depends on it.
-///
-/// Public (re-exported through [`crate::engine`]) so downstream game
-/// variants — e.g. the three-level hierarchy in `rbp-hier` — can plug
-/// their state spaces into the same sequential and sharded-parallel
-/// engines the built-in MPP/SPP solvers use.
 pub trait Domain: Sync {
     /// Unpacked state (solver-native masks).
     type Key: Copy;
@@ -111,7 +106,7 @@ pub trait Domain: Sync {
     fn expand(&self, key: &Self::Key, scratch: &mut Self::Scratch, emit: EmitFn<'_, Self::Key>);
     /// Drains the phase counters [`Domain::expand`] accumulated into
     /// `scratch` since the last call. The default reports nothing;
-    /// domains that embed a [`crate::PhaseProf`] in their scratch
+    /// domains that embed a `PhaseProf` in their scratch
     /// override it so the drivers can aggregate hot-path accounting.
     fn take_phases(&self, _scratch: &mut Self::Scratch) -> PhaseStats {
         PhaseStats::default()
@@ -124,7 +119,7 @@ pub trait Domain: Sync {
     /// (same key → same shard on every call and every worker) — the
     /// distributed termination proof and duplicate detection rely on
     /// it. Defaults to the hash partition; solvers override it to
-    /// route through a [`crate::engine::Partition`].
+    /// route through a [`crate::partition::Partition`].
     #[inline]
     fn owner(&self, _key: &Self::Key, hash: u64, shards: usize) -> usize {
         shard_of(hash, shards)

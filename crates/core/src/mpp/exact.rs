@@ -1,4 +1,5 @@
-//! Exact optimal MPP solver for small instances.
+//! Exact optimal solver for small instances of the MPP game and of its
+//! three-level extension.
 //!
 //! A\* search over configurations `(R^1..R^k, B)` packed into `u64`
 //! masks, built on the shared [`crate::search`] engine. Transitions are
@@ -7,22 +8,35 @@
 //! idles), so the solver exploits the paper's one-cost-per-parallel-step
 //! semantics exactly.
 //!
+//! The same domain serves the three-level game (`rbp-hier`): given a
+//! [`GreenTier`], configurations become `(R^1..R^k, G, B)` with a shared
+//! green set of bounded capacity, and one store/load pair (red → green,
+//! green → red, both at the tier's cost) joins the four MPP rules. The
+//! packed key carries the green field only when a tier exists, and a
+//! zero-capacity tier builds none, so without a tier the explored state
+//! space is literally the two-level one.
+//!
 //! State-space reductions, all correctness-preserving:
 //!
 //! - **Processor symmetry.** Processors are interchangeable (equal
-//!   capacity `r`, shared blue memory), so configurations differing only
-//!   by a relabeling of shades are equivalent. Keys are canonicalized by
-//!   sorting the per-processor red masks, collapsing up to `k!`
-//!   states into one; witness reconstruction re-applies the permutation
-//!   trail so the returned strategy uses consistent concrete labels.
+//!   capacity `r`, shared green and blue memory), so configurations
+//!   differing only by a relabeling of shades are equivalent. Keys are
+//!   canonicalized by sorting the per-processor red masks, collapsing up
+//!   to `k!` states into one; witness reconstruction re-applies the
+//!   permutation trail so the returned witness uses consistent concrete
+//!   labels.
 //! - **Admissible heuristic.** `ceil(|needed| / k) · compute`, where
 //!   `needed` is the set of nodes that provably must still be computed
-//!   (see [`crate::search::AdmissibleHeuristic`]). With the heuristic
-//!   disabled the solver degenerates to the original uniform-cost
-//!   search.
-//! - The two classic normalizations: blue pebbles are never deleted,
-//!   and red deletions are generated lazily, only on a processor at
-//!   capacity (`≥ r`, so a capacity-1 processor still makes progress).
+//!   (see [`crate::search::AdmissibleHeuristic`]), evaluated with
+//!   `G ∪ B` in the role of the blue set: a green pebble, like a blue
+//!   one, certifies the value exists outside fast memory. With a tier,
+//!   re-entry is priced at `min(g, green cost)`, since a green reload
+//!   may undercut a blue one. With the heuristic disabled the solver
+//!   degenerates to the original uniform-cost search.
+//! - The classic normalizations: blue pebbles are never deleted, and
+//!   red (green) deletions are generated lazily, only on a processor
+//!   (the tier) at capacity (`≥ r`, so a capacity-1 processor still
+//!   makes progress).
 //!
 //! Complexity is brutal by design (the problem is NP-hard even for
 //! 2-layer DAGs, Lemma 2): intended for `n ≤ ~10`, `k ≤ 4`.
@@ -35,9 +49,11 @@ use crate::driver::{self, Domain, EmitFn};
 use crate::partition::Partition;
 use crate::search::{
     trace_shards, HeurCtx, PackedMove, PhaseProf, PhaseStats, SearchConfig, SearchOutcome,
-    SearchStats, ShardStats, StopReason, MAX_THREADS,
+    StopReason, MAX_THREADS,
 };
-use crate::{AdmissibleHeuristic, Cost, MppInstance, MppMove, MppStrategy, Pebble, SolveLimits};
+use crate::{
+    AdmissibleHeuristic, Cost, MppInstance, MppMove, MppStrategy, Pebble, ProcId, SolveLimits,
+};
 
 const MAX_K: usize = 4;
 
@@ -52,9 +68,53 @@ pub struct MppSolution {
     pub strategy: MppStrategy,
 }
 
+/// The optional shared mid tier of the three-level game: `cap` green
+/// pebbles shared by all processors, each green store or load batch
+/// costing `cost`. A zero capacity is no tier at all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GreenTier {
+    /// Capacity of the shared green set.
+    pub cap: usize,
+    /// Cost of one green store or load rule application.
+    pub cost: u64,
+}
+
+/// One rule application of an exact witness, under concrete processor
+/// labels. The green variants only occur when the solve had a tier.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExactStep {
+    /// Batched compute (costs `compute`).
+    Compute(Vec<(ProcId, NodeId)>),
+    /// Batched blue → red load (costs `g`).
+    Load(Vec<(ProcId, NodeId)>),
+    /// Batched red → blue store (costs `g`).
+    Store(Vec<(ProcId, NodeId)>),
+    /// Batched green → red load (costs the tier's cost).
+    LoadGreen(Vec<(ProcId, NodeId)>),
+    /// Batched red → green store (costs the tier's cost).
+    StoreGreen(Vec<(ProcId, NodeId)>),
+    /// Deletion of one red pebble (free).
+    RemoveRed(ProcId, NodeId),
+    /// Deletion of one green pebble (free).
+    RemoveGreen(NodeId),
+}
+
+/// A proven optimum and the witness reaching it, as found by
+/// [`solve_exact`]. The caller maps the steps to its own move type and
+/// replays them through its validator.
+#[derive(Debug, Clone)]
+pub struct ExactWitness {
+    /// The optimal total cost.
+    pub total: u64,
+    /// The optimal rule applications, in order.
+    pub steps: Vec<ExactStep>,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct Key {
     reds: [u64; MAX_K],
+    /// Always zero without a green tier.
+    green: u64,
     blue: u64,
 }
 
@@ -63,20 +123,30 @@ impl Key {
     fn red_all(&self) -> u64 {
         self.reds.iter().fold(0, |a, &b| a | b)
     }
+
+    /// The values held outside fast memory (green or blue).
+    #[inline]
+    fn outer(&self) -> u64 {
+        self.green | self.blue
+    }
 }
 
-// Packed move layout (see `crate::search::PackedMove`): bits 30..=31
+// Packed move layout (see `crate::search::PackedMove`): bits 28..=30
 // hold the tag; batch moves store one 7-bit slot per processor
-// (bit 6 = active, bits 0..=5 = node); removals store the node in bits
-// 0..=5 and the processor in bits 6..=7.
+// (bit 6 = active, bits 0..=5 = node) in bits 0..=27; removals store
+// the node in bits 0..=5 and, for red removals, the processor in bits
+// 6..=7.
 const TAG_COMPUTE: u32 = 0;
 const TAG_LOAD: u32 = 1;
 const TAG_STORE: u32 = 2;
-const TAG_REMOVE: u32 = 3;
+const TAG_LOAD_GREEN: u32 = 3;
+const TAG_STORE_GREEN: u32 = 4;
+const TAG_REMOVE_RED: u32 = 5;
+const TAG_REMOVE_GREEN: u32 = 6;
 
 #[inline]
 fn encode_batch(tag: u32, batch: &[(usize, u32)]) -> PackedMove {
-    let mut w = tag << 30;
+    let mut w = tag << 28;
     for &(j, i) in batch {
         w |= (0x40 | i) << (7 * j as u32);
     }
@@ -84,13 +154,13 @@ fn encode_batch(tag: u32, batch: &[(usize, u32)]) -> PackedMove {
 }
 
 #[inline]
-fn encode_remove(proc: usize, node: u32) -> PackedMove {
-    (TAG_REMOVE << 30) | ((proc as u32) << 6) | node
+fn encode_remove(tag: u32, proc: usize, node: u32) -> PackedMove {
+    (tag << 28) | ((proc as u32) << 6) | node
 }
 
 fn decode(w: PackedMove, k: usize) -> (u32, Vec<(usize, u32)>) {
-    let tag = w >> 30;
-    if tag == TAG_REMOVE {
+    let tag = w >> 28;
+    if tag >= TAG_REMOVE_RED {
         return (tag, vec![(((w >> 6) & 0x3) as usize, w & 0x3f)]);
     }
     let mut pairs = Vec::new();
@@ -103,9 +173,10 @@ fn decode(w: PackedMove, k: usize) -> (u32, Vec<(usize, u32)>) {
     (tag, pairs)
 }
 
+#[inline]
 fn apply(key: &mut Key, tag: u32, pairs: &[(usize, u32)]) {
     match tag {
-        TAG_COMPUTE | TAG_LOAD => {
+        TAG_COMPUTE | TAG_LOAD | TAG_LOAD_GREEN => {
             for &(j, i) in pairs {
                 key.reds[j] |= 1 << i;
             }
@@ -115,10 +186,16 @@ fn apply(key: &mut Key, tag: u32, pairs: &[(usize, u32)]) {
                 key.blue |= 1 << i;
             }
         }
-        _ => {
+        TAG_STORE_GREEN => {
+            for &(_, i) in pairs {
+                key.green |= 1 << i;
+            }
+        }
+        TAG_REMOVE_RED => {
             let (j, i) = pairs[0];
             key.reds[j] &= !(1 << i);
         }
+        _ => key.green &= !(1 << pairs[0].1),
     }
 }
 
@@ -145,7 +222,8 @@ fn is_sorted_desc(xs: &[u64]) -> bool {
 }
 
 /// Canonicalizes `raw` and returns the gather permutation `pi` such that
-/// `canonical.reds[q] == raw.reds[pi[q]]`.
+/// `canonical.reds[q] == raw.reds[pi[q]]`. The shared green and blue
+/// sets are invariant under shade relabeling.
 fn canon_with_perm(raw: Key, k: usize, symmetry: bool) -> (Key, [usize; MAX_K]) {
     let mut idx = [0usize, 1, 2, 3];
     if !symmetry {
@@ -187,29 +265,87 @@ pub fn solve_with(instance: &MppInstance, config: &SearchConfig) -> SearchOutcom
             ("partition", Json::from(config.partition.as_str())),
         ],
     );
-    let (solution, stats, reason, shards, phases) = solve_inner(instance, config);
-    stats.trace("mpp", solution.as_ref().map(|s| s.total));
-    trace_shards("mpp", &shards);
-    phases.trace("mpp");
-    SearchOutcome {
-        solution,
-        stats,
-        reason,
-        shards,
-        phases,
-    }
+    solve_exact(instance, None, config, "mpp").map(|witness| {
+        let moves = witness.steps.into_iter().map(|step| match step {
+            ExactStep::Compute(b) => MppMove::Compute(b),
+            ExactStep::Load(b) => MppMove::Load(b),
+            ExactStep::Store(b) => MppMove::Store(b),
+            ExactStep::RemoveRed(p, v) => MppMove::Remove(Pebble::Red(p, v)),
+            green => unreachable!("green step {green:?} without a green tier"),
+        });
+        let strategy = MppStrategy::from_moves(moves.collect());
+        let cost = strategy
+            .validate(instance)
+            .expect("solver produced an invalid strategy");
+        debug_assert_eq!(cost.total(instance.model), witness.total);
+        MppSolution {
+            total: witness.total,
+            cost,
+            strategy,
+        }
+    })
 }
 
-/// The MPP state space described for the shared search drivers: keys
-/// are `(R^1..R^k, B)` masks bit-packed to `(k+1) * n` bits, successors
-/// are whole batched rule applications (canonicalized under processor
-/// symmetry before emission).
+/// The exact search behind [`solve_with`] and `rbp-hier`'s three-level
+/// solver: proves the optimum of `instance`, extended by `tier` when one
+/// is given, and returns it with its witness steps. The search counters
+/// are traced under `solver.<which>.*` (no-ops unless a sink is
+/// installed); the caller opens the enclosing span.
+///
+/// The solution is `None` when the instance is infeasible
+/// (`r ≤ Δ_in`), too large (`n > 64`, `k > 4` or a tier capacity above
+/// 64), or out of budget; [`SearchOutcome::reason`] tells which.
+#[must_use]
+pub fn solve_exact(
+    instance: &MppInstance,
+    tier: Option<GreenTier>,
+    config: &SearchConfig,
+    which: &str,
+) -> SearchOutcome<ExactWitness> {
+    let out = if instance.dag.n() == 0
+        && (1..=MAX_K).contains(&instance.k)
+        && tier.is_none_or(|t| t.cap <= 64)
+    {
+        let empty = ExactWitness {
+            total: 0,
+            steps: Vec::new(),
+        };
+        SearchOutcome::unsearched(Some(empty), StopReason::Solved)
+    } else if let Some(domain) = build_domain(instance, tier, config) {
+        let out = driver::search(&domain, config);
+        SearchOutcome {
+            solution: out.best.map(|(total, path)| ExactWitness {
+                total,
+                steps: reconstruct(path, instance.k, config.symmetry),
+            }),
+            stats: out.stats,
+            reason: out.reason,
+            shards: out.shards,
+            phases: out.phases,
+        }
+    } else {
+        SearchOutcome::unsearched(None, StopReason::Unsupported)
+    };
+    out.stats
+        .trace(which, out.solution.as_ref().map(|w| w.total));
+    trace_shards(which, &out.shards);
+    out.phases.trace(which);
+    out
+}
+
+/// The MPP state space, with an optional green tier, described for the
+/// shared search drivers: keys are `(R^1..R^k[, G], B)` masks
+/// bit-packed to `(k+1) · n` bits, or `(k+2) · n` with a tier;
+/// successors are whole batched rule applications (canonicalized under
+/// processor symmetry before emission).
 struct MppDomain {
     n: usize,
     k: usize,
     r: usize,
     compute: u64,
     g: u64,
+    /// Present only with a non-zero capacity.
+    tier: Option<GreenTier>,
     preds_mask: Vec<u64>,
     sinks_mask: u64,
     heur: AdmissibleHeuristic,
@@ -218,6 +354,14 @@ struct MppDomain {
     dominance: bool,
     max_priority: u64,
     partition: Partition,
+}
+
+impl MppDomain {
+    /// Number of packed `n`-bit fields: `k` red masks, the green mask
+    /// with a tier, and the blue mask.
+    fn fields(&self) -> usize {
+        self.k + 1 + usize::from(self.tier.is_some())
+    }
 }
 
 /// Reused per-worker expansion buffers (allocation-free inner loop) and
@@ -241,41 +385,50 @@ impl Domain for MppDomain {
     type Scratch = MppScratch;
 
     fn key_words(&self) -> usize {
-        words_for(self.k + 1, self.n)
+        words_for(self.fields(), self.n)
     }
 
     fn pack(&self, key: &Key, out: &mut [u64]) {
-        let mut fields = [0u64; MAX_K + 1];
+        let mut fields = [0u64; MAX_K + 2];
         fields[..self.k].copy_from_slice(&key.reds[..self.k]);
-        fields[self.k] = key.blue;
-        pack_fields(&fields[..self.k + 1], self.n, out);
+        fields[self.k] = key.green;
+        let last = self.fields() - 1;
+        fields[last] = key.blue;
+        pack_fields(&fields[..=last], self.n, out);
     }
 
     fn unpack(&self, words: &[u64]) -> Key {
-        let mut fields = [0u64; MAX_K + 1];
-        unpack_fields(words, self.n, &mut fields[..self.k + 1]);
+        let mut fields = [0u64; MAX_K + 2];
+        let last = self.fields() - 1;
+        unpack_fields(words, self.n, &mut fields[..=last]);
         let mut reds = [0u64; MAX_K];
         reds[..self.k].copy_from_slice(&fields[..self.k]);
         Key {
             reds,
-            blue: fields[self.k],
+            green: if self.tier.is_some() {
+                fields[self.k]
+            } else {
+                0
+            },
+            blue: fields[last],
         }
     }
 
     fn root(&self) -> Key {
         Key {
             reds: [0; MAX_K],
+            green: 0,
             blue: 0,
         }
     }
 
     fn is_goal(&self, key: &Key) -> bool {
-        self.sinks_mask & !(key.red_all() | key.blue) == 0
+        self.sinks_mask & !(key.red_all() | key.outer()) == 0
     }
 
     fn heuristic(&self, key: &Key) -> Option<u64> {
         if self.use_heuristic {
-            self.heur.eval(key.red_all(), key.blue, 0)
+            self.heur.eval(key.red_all(), key.outer(), 0)
         } else {
             Some(0)
         }
@@ -286,7 +439,10 @@ impl Domain for MppDomain {
     }
 
     fn owner(&self, key: &Key, hash: u64, shards: usize) -> usize {
-        self.partition.owner(key.red_all(), key.blue, hash, shards)
+        // Green pebbles are fast-memory-adjacent for locality purposes:
+        // they fold into the red side of the partition signature.
+        self.partition
+            .owner(key.red_all() | key.green, key.blue, hash, shards)
     }
 
     fn expand(&self, key: &Key, scratch: &mut MppScratch, emit: EmitFn<'_, Key>) {
@@ -301,7 +457,7 @@ impl Domain for MppDomain {
         let hctx: Option<HeurCtx> = if self.use_heuristic {
             let t0 = prof.start();
             prof.stats.heur_full_evals += 1;
-            let ctx = self.heur.prepare(key.red_all(), key.blue, 0);
+            let ctx = self.heur.prepare(key.red_all(), key.outer(), 0);
             prof.stop_heur(t0);
             debug_assert!(ctx.is_some(), "MPP states are never dead");
             ctx
@@ -328,104 +484,118 @@ impl Domain for MppDomain {
                 let hv = match &hctx {
                     Some(ctx) => {
                         self.heur
-                            .eval_delta(ctx, raw.red_all(), raw.blue, 0, &mut prof.stats)
+                            .eval_delta(ctx, raw.red_all(), raw.outer(), 0, &mut prof.stats)
                     }
-                    None => self.heur.eval(raw.red_all(), raw.blue, 0),
+                    None => self.heur.eval(raw.red_all(), raw.outer(), 0),
                 };
                 prof.stop_heur(t0);
                 hv
             });
         };
 
-        // --- R4-M: lazy red eviction on full processors (cost 0). ---
+        // --- R4: lazy red eviction on full processors (cost 0). ---
         for j in 0..k {
             if key.reds[j].count_ones() as usize >= r {
                 for i in iter_bits(key.reds[j]) {
                     let mut nk = key;
                     nk.reds[j] &= !(1u64 << i);
-                    emit_raw(nk, 0, encode_remove(j, i));
+                    emit_raw(nk, 0, encode_remove(TAG_REMOVE_RED, j, i));
+                }
+            }
+        }
+
+        // --- R4-H: lazy green eviction when the tier is full (cost 0). ---
+        if let Some(tier) = self.tier {
+            if key.green.count_ones() as usize >= tier.cap {
+                for i in iter_bits(key.green) {
+                    let mut nk = key;
+                    nk.green &= !(1u64 << i);
+                    emit_raw(nk, 0, encode_remove(TAG_REMOVE_GREEN, 0, i));
                 }
             }
         }
 
         let mut suppressed = 0u64;
-        let mut opts = [0u64; MAX_K];
+        // Emits every batch over the per-processor option masks `opts`
+        // as one rule application of `tag` at `cost`.
+        let mut batches = |opts: &[u64], distinct: bool, budget: usize, cost: u64, tag: u32| {
+            for_each_batch(
+                opts,
+                distinct,
+                self.dominance,
+                budget,
+                batch,
+                &mut suppressed,
+                &mut |batch| {
+                    let mut nk = key;
+                    apply(&mut nk, tag, batch);
+                    emit_raw(nk, cost, encode_batch(tag, batch));
+                },
+            );
+        };
+        let has_room = |j: usize| (key.reds[j].count_ones() as usize) < r;
+        // Loads of `src` values not yet red on a processor with room.
+        let load_opts = |src: u64| -> [u64; MAX_K] {
+            std::array::from_fn(|j| {
+                if j < k && has_room(j) {
+                    src & !key.reds[j]
+                } else {
+                    0
+                }
+            })
+        };
 
-        // --- R3-M: batched computes. ---
+        // --- R3: batched computes. ---
         // Option masks per processor: eligible nodes (not yet red here,
         // all predecessors red here), empty at capacity.
+        let mut opts = [0u64; MAX_K];
         for (j, opt) in opts.iter_mut().enumerate().take(k) {
-            *opt = 0;
-            if key.reds[j].count_ones() as usize >= r {
-                continue;
-            }
-            for i in iter_bits(full & !key.reds[j]) {
-                if self.preds_mask[i as usize] & !key.reds[j] == 0 {
-                    *opt |= 1u64 << i;
+            if has_room(j) {
+                for i in iter_bits(full & !key.reds[j]) {
+                    if self.preds_mask[i as usize] & !key.reds[j] == 0 {
+                        *opt |= 1u64 << i;
+                    }
                 }
             }
         }
-        for_each_batch(
-            &opts[..k],
-            false,
-            self.dominance,
-            usize::MAX,
-            batch,
-            &mut suppressed,
-            &mut |batch| {
-                let mut nk = key;
-                for &(j, i) in batch {
-                    nk.reds[j] |= 1u64 << i;
-                }
-                emit_raw(nk, self.compute, encode_batch(TAG_COMPUTE, batch));
-            },
-        );
+        batches(&opts[..k], false, usize::MAX, self.compute, TAG_COMPUTE);
 
-        // --- R2-M: batched loads (distinct vertices). ---
-        for (j, opt) in opts.iter_mut().enumerate().take(k) {
-            *opt = if key.reds[j].count_ones() as usize >= r {
-                0
-            } else {
-                key.blue & !key.reds[j]
-            };
-        }
-        for_each_batch(
-            &opts[..k],
-            true,
-            self.dominance,
-            usize::MAX,
-            batch,
-            &mut suppressed,
-            &mut |batch| {
-                let mut nk = key;
-                for &(j, i) in batch {
-                    nk.reds[j] |= 1u64 << i;
-                }
-                emit_raw(nk, self.g, encode_batch(TAG_LOAD, batch));
-            },
-        );
+        // --- R2: batched blue loads (distinct vertices). ---
+        let blue_loads = load_opts(key.blue);
+        batches(&blue_loads[..k], true, usize::MAX, self.g, TAG_LOAD);
 
-        // --- R1-M: batched stores (distinct vertices). ---
+        // --- R1: batched blue stores (distinct vertices). ---
         // Storing an already-blue node is structurally excluded by the
         // option mask — the other half of the dominance story.
         for (j, opt) in opts.iter_mut().enumerate().take(k) {
             *opt = key.reds[j] & !key.blue;
         }
-        for_each_batch(
-            &opts[..k],
-            true,
-            self.dominance,
-            usize::MAX,
-            batch,
-            &mut suppressed,
-            &mut |batch| {
-                let mut nk = key;
-                for &(_, i) in batch {
-                    nk.blue |= 1u64 << i;
+        batches(&opts[..k], true, usize::MAX, self.g, TAG_STORE);
+
+        if let Some(tier) = self.tier {
+            // --- R6-H: batched green loads (distinct vertices). ---
+            let green_loads = load_opts(key.green);
+            batches(
+                &green_loads[..k],
+                true,
+                usize::MAX,
+                tier.cost,
+                TAG_LOAD_GREEN,
+            );
+
+            // --- R5-H: batched green stores (distinct vertices, bounded
+            // by the shared capacity — the enumerator's `budget`
+            // enforces the free-slot cap, and maximality is judged
+            // against it, so a batch filling every free slot is maximal
+            // even when idle processors still hold storable values). ---
+            let free = tier.cap - (key.green.count_ones() as usize).min(tier.cap);
+            if free > 0 {
+                for (j, opt) in opts.iter_mut().enumerate().take(k) {
+                    *opt = key.reds[j] & !key.green;
                 }
-                emit_raw(nk, self.g, encode_batch(TAG_STORE, batch));
-            },
-        );
+                batches(&opts[..k], true, free, tier.cost, TAG_STORE_GREEN);
+            }
+        }
 
         prof.stats.idle_suppressed += suppressed;
     }
@@ -437,12 +607,23 @@ impl Domain for MppDomain {
 
 /// Builds the search domain for a supported, non-empty, feasible
 /// instance; `None` otherwise (the caller distinguishes the trivial
-/// `n == 0` case itself).
-fn build_domain(instance: &MppInstance, config: &SearchConfig) -> Option<MppDomain> {
+/// `n == 0` case itself). A zero-capacity tier builds no tier.
+fn build_domain(
+    instance: &MppInstance,
+    tier: Option<GreenTier>,
+    config: &SearchConfig,
+) -> Option<MppDomain> {
+    let tier = tier.filter(|t| t.cap > 0);
     let dag = instance.dag;
     let n = dag.n();
     let k = instance.k;
-    if n == 0 || n > 64 || k > MAX_K || k == 0 || !instance.is_feasible() {
+    if n == 0
+        || n > 64
+        || k > MAX_K
+        || k == 0
+        || tier.is_some_and(|t| t.cap > 64)
+        || !instance.is_feasible()
+    {
         return None;
     }
     let model = instance.model;
@@ -460,14 +641,23 @@ fn build_domain(instance: &MppInstance, config: &SearchConfig) -> Option<MppDoma
         .iter()
         .fold(0u64, |m, s| m | (1u64 << s.index()));
 
-    // Priority ceiling for the bucket representation: twice the Lemma 1
+    // Priority ceiling for the bucket representation: the game can
+    // always ignore the green tier, so twice the two-level Lemma 1
     // trivial upper bound covers every f-value the search can push.
     let ub = (model.g * (dag.max_in_degree() as u64 + 1))
         .saturating_add(model.compute)
         .saturating_mul(n as u64);
-    let max_priority = ub
-        .saturating_mul(2)
-        .saturating_add(model.g.saturating_add(model.compute));
+    let max_priority = ub.saturating_mul(2).saturating_add(
+        model
+            .g
+            .saturating_add(model.compute)
+            .saturating_add(tier.map_or(0, |t| t.cost)),
+    );
+
+    let mut heur = AdmissibleHeuristic::for_mpp(instance);
+    if let Some(t) = tier {
+        heur = heur.with_load_cost(model.g.min(t.cost));
+    }
 
     Some(MppDomain {
         n,
@@ -475,9 +665,10 @@ fn build_domain(instance: &MppInstance, config: &SearchConfig) -> Option<MppDoma
         r: instance.r,
         compute: model.compute,
         g: model.g,
+        tier,
         preds_mask,
         sinks_mask,
-        heur: AdmissibleHeuristic::for_mpp(instance),
+        heur,
         use_heuristic: config.heuristic,
         symmetry: config.symmetry,
         dominance: config.dominance,
@@ -486,54 +677,14 @@ fn build_domain(instance: &MppInstance, config: &SearchConfig) -> Option<MppDoma
     })
 }
 
-#[allow(clippy::type_complexity)]
-fn solve_inner(
-    instance: &MppInstance,
-    config: &SearchConfig,
-) -> (
-    Option<MppSolution>,
-    SearchStats,
-    StopReason,
-    Vec<ShardStats>,
-    PhaseStats,
-) {
-    if instance.dag.n() == 0 && instance.k > 0 && instance.k <= MAX_K {
-        return (
-            Some(MppSolution {
-                total: 0,
-                cost: Cost::zero(),
-                strategy: MppStrategy::new(),
-            }),
-            SearchStats::default(),
-            StopReason::Solved,
-            Vec::new(),
-            PhaseStats::default(),
-        );
-    }
-    let Some(domain) = build_domain(instance, config) else {
-        return (
-            None,
-            SearchStats::default(),
-            StopReason::Unsupported,
-            Vec::new(),
-            PhaseStats::default(),
-        );
-    };
-    let out = driver::search(&domain, config);
-    let solution = out
-        .best
-        .map(|(total, path)| reconstruct(instance, path, total, config.symmetry));
-    (solution, out.stats, out.reason, out.shards, out.phases)
-}
-
 /// Enumerates non-empty batches over per-processor option bitmasks:
 /// each processor picks one set bit of its mask or idles. With
 /// `distinct_vertices`, no vertex may repeat across the batch
 /// (R1-M/R2-M set semantics; for stores a repeated vertex would be a
 /// redundant double-write anyway). `budget` caps the total number of
-/// acting processors (the hierarchical green-store slot budget;
-/// `usize::MAX` otherwise). The caller provides the scratch `batch`
-/// buffer so the enumeration allocates nothing.
+/// acting processors (the green-store free-slot budget; `usize::MAX`
+/// otherwise). The caller provides the scratch `batch` buffer so the
+/// enumeration allocates nothing.
 ///
 /// With `maximal` (dominance pruning), only **inclusion-maximal**
 /// batches survive: a batch where some idle processor could still be
@@ -659,39 +810,27 @@ fn for_each_batch(
 /// its parent's canonical representative, while the canonical successor
 /// is a *sorted* relabeling of the raw successor. Replaying forward, we
 /// maintain the composed permutation `perm` (canonical index → concrete
-/// processor id) and emit every move under concrete labels, so the
-/// strategy validates against the ordinary rules.
-fn reconstruct(
-    instance: &MppInstance,
-    path: Vec<(Key, PackedMove)>,
-    total: u64,
-    symmetry: bool,
-) -> MppSolution {
-    let k = instance.k;
+/// processor id) and emit every step under concrete labels, so the
+/// witness validates against the ordinary rules.
+fn reconstruct(path: Vec<(Key, PackedMove)>, k: usize, symmetry: bool) -> Vec<ExactStep> {
     let mut perm = [0usize, 1, 2, 3];
-    let mut cur = path.first().map_or(
-        Key {
-            reds: [0; MAX_K],
-            blue: 0,
-        },
-        |&(p, _)| p,
-    );
-    let mut moves = Vec::with_capacity(path.len());
+    let mut cur = path.first().map(|&(p, _)| p);
+    let mut steps = Vec::with_capacity(path.len());
     for (parent, mv) in path {
-        debug_assert_eq!(parent, cur);
+        debug_assert_eq!(Some(parent), cur);
         let (tag, pairs) = decode(mv, k);
-        let concrete: Vec<(usize, NodeId)> = pairs
+        let concrete: Vec<(ProcId, NodeId)> = pairs
             .iter()
             .map(|&(j, i)| (perm[j], NodeId::new(i as usize)))
             .collect();
-        moves.push(match tag {
-            TAG_COMPUTE => MppMove::Compute(concrete),
-            TAG_LOAD => MppMove::Load(concrete),
-            TAG_STORE => MppMove::Store(concrete),
-            _ => {
-                let (p, v) = concrete[0];
-                MppMove::Remove(Pebble::Red(p, v))
-            }
+        steps.push(match tag {
+            TAG_COMPUTE => ExactStep::Compute(concrete),
+            TAG_LOAD => ExactStep::Load(concrete),
+            TAG_STORE => ExactStep::Store(concrete),
+            TAG_LOAD_GREEN => ExactStep::LoadGreen(concrete),
+            TAG_STORE_GREEN => ExactStep::StoreGreen(concrete),
+            TAG_REMOVE_RED => ExactStep::RemoveRed(concrete[0].0, concrete[0].1),
+            _ => ExactStep::RemoveGreen(concrete[0].1),
         });
         let mut raw = parent;
         apply(&mut raw, tag, &pairs);
@@ -700,18 +839,9 @@ fn reconstruct(
         for q in 0..k {
             perm[q] = prev_perm[pi[q]];
         }
-        cur = next;
+        cur = Some(next);
     }
-    let strategy = MppStrategy::from_moves(moves);
-    let cost = strategy
-        .validate(instance)
-        .expect("solver produced an invalid strategy");
-    debug_assert_eq!(cost.total(instance.model), total);
-    MppSolution {
-        total,
-        cost,
-        strategy,
-    }
+    steps
 }
 
 fn iter_bits(mut mask: u64) -> impl Iterator<Item = u32> {
@@ -732,25 +862,39 @@ pub mod probe {
     //!
     //! Exposes the raw (symmetry-off) naive vs dominance-pruned
     //! successor sets along deterministic pseudo-random walks — the
-    //! substrate of the successor-set equivalence property tests — and
-    //! the micro-kernels (`canonicalize`, heuristic delta vs
+    //! substrate of the successor-set equivalence property tests, for
+    //! the two-level game and (with a [`GreenTier`]) the three-level
+    //! one — and the micro-kernels (`canonicalize`, heuristic delta vs
     //! from-scratch, per-expansion successor generation) timed by the
     //! `solver_kernel` bench group. Not a public API.
 
     use super::*;
     use rbp_util::Rng;
 
-    /// A raw successor snapshot: per-processor red masks, blue mask,
-    /// and edge cost. Produced with symmetry canonicalization off so
-    /// set comparisons see concrete processor labels.
+    /// A raw successor snapshot: per-processor red masks, the shared
+    /// green and blue masks, and edge cost. Produced with symmetry
+    /// canonicalization off so set comparisons see concrete processor
+    /// labels.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     pub struct Succ {
         /// Per-processor red masks (entries `k..` are zero).
         pub reds: [u64; MAX_K],
+        /// Green mask (zero without a tier).
+        pub green: u64,
         /// Blue mask.
         pub blue: u64,
         /// Edge cost of the generating move.
         pub cost: u64,
+    }
+
+    impl Succ {
+        fn key(&self) -> Key {
+            Key {
+                reds: self.reds,
+                green: self.green,
+                blue: self.blue,
+            }
+        }
     }
 
     fn expand_into(domain: &MppDomain, key: &Key, scratch: &mut MppScratch) -> Vec<Succ> {
@@ -758,6 +902,7 @@ pub mod probe {
         domain.expand(key, scratch, &mut |k2, c, _mv, _hv| {
             out.push(Succ {
                 reds: k2.reds,
+                green: k2.green,
                 blue: k2.blue,
                 cost: c,
             })
@@ -774,6 +919,10 @@ pub mod probe {
         }
     }
 
+    fn domain(instance: &MppInstance, tier: Option<GreenTier>, config: &SearchConfig) -> MppDomain {
+        build_domain(instance, tier, config).expect("unsupported instance")
+    }
+
     /// Walks `steps` states from the root along a seeded random path
     /// (always stepping through a *naive* successor), returning the
     /// `(naive, pruned)` successor sets of every visited state.
@@ -781,11 +930,12 @@ pub mod probe {
     #[must_use]
     pub fn successor_walk(
         instance: &MppInstance,
+        tier: Option<GreenTier>,
         seed: u64,
         steps: usize,
     ) -> Vec<(Vec<Succ>, Vec<Succ>)> {
-        let naive = build_domain(instance, &raw_config(false)).expect("unsupported instance");
-        let pruned = build_domain(instance, &raw_config(true)).expect("unsupported instance");
+        let naive = domain(instance, tier, &raw_config(false));
+        let pruned = domain(instance, tier, &raw_config(true));
         let mut rng = Rng::new(seed);
         let mut scratch = MppScratch::default();
         let mut key = naive.root();
@@ -796,11 +946,7 @@ pub mod probe {
             if ns.is_empty() {
                 break;
             }
-            let pick = rng.index(ns.len());
-            let next = Key {
-                reds: ns[pick].reds,
-                blue: ns[pick].blue,
-            };
+            let next = ns[rng.index(ns.len())].key();
             out.push((ns, ps));
             key = next;
         }
@@ -835,7 +981,7 @@ pub mod probe {
     /// evaluations have run. Returns a checksum of the bounds.
     #[must_use]
     pub fn heur_kernel(instance: &MppInstance, iters: u64, delta: bool, seed: u64) -> u64 {
-        let domain = build_domain(instance, &raw_config(true)).expect("unsupported instance");
+        let domain = domain(instance, None, &raw_config(true));
         let mut rng = Rng::new(seed);
         let mut scratch = MppScratch::default();
         let mut stats = PhaseStats::default();
@@ -850,14 +996,14 @@ pub mod probe {
             }
             let ctx = domain
                 .heur
-                .prepare(key.red_all(), key.blue, 0)
+                .prepare(key.red_all(), key.outer(), 0)
                 .expect("MPP states are never dead");
             for s in &succs {
-                let red_all = s.reds.iter().fold(0, |a, &b| a | b);
+                let (red_all, outer) = (s.key().red_all(), s.key().outer());
                 let hv = if delta {
-                    domain.heur.eval_delta(&ctx, red_all, s.blue, 0, &mut stats)
+                    domain.heur.eval_delta(&ctx, red_all, outer, 0, &mut stats)
                 } else {
-                    domain.heur.eval(red_all, s.blue, 0)
+                    domain.heur.eval(red_all, outer, 0)
                 };
                 acc = acc.rotate_left(5) ^ hv.unwrap_or(u64::MAX);
                 done += 1;
@@ -865,11 +1011,7 @@ pub mod probe {
                     break;
                 }
             }
-            let pick = rng.index(succs.len());
-            key = Key {
-                reds: succs[pick].reds,
-                blue: succs[pick].blue,
-            };
+            key = succs[rng.index(succs.len())].key();
         }
         acc
     }
@@ -880,14 +1022,11 @@ pub mod probe {
     /// total number of emitted successors.
     #[must_use]
     pub fn expand_kernel(instance: &MppInstance, iters: u64, dominance: bool, seed: u64) -> u64 {
-        let domain = build_domain(
-            instance,
-            &SearchConfig {
-                dominance,
-                ..SearchConfig::default()
-            },
-        )
-        .expect("unsupported instance");
+        let config = SearchConfig {
+            dominance,
+            ..SearchConfig::default()
+        };
+        let domain = domain(instance, None, &config);
         let mut rng = Rng::new(seed);
         let mut scratch = MppScratch::default();
         let mut key = domain.root();
@@ -899,11 +1038,7 @@ pub mod probe {
                 key = domain.root();
                 continue;
             }
-            let pick = rng.index(succs.len());
-            key = Key {
-                reds: succs[pick].reds,
-                blue: succs[pick].blue,
-            };
+            key = succs[rng.index(succs.len())].key();
         }
         emitted
     }
@@ -1114,6 +1249,35 @@ mod tests {
             opt.stats.settled,
             base.stats.settled
         );
+    }
+
+    #[test]
+    fn packed_key_carries_green_only_with_a_tier() {
+        // n = 20, k = 2: three fields fit one word, four need two.
+        let d = generators::chain(20);
+        let inst = MppInstance::new(&d, 2, 2, 1);
+        let cfg = SearchConfig::default();
+        let width = |tier| build_domain(&inst, tier, &cfg).unwrap().key_words();
+        assert_eq!(width(None), words_for(3, 20));
+        let tier = GreenTier { cap: 2, cost: 1 };
+        assert_eq!(width(Some(tier)), words_for(4, 20));
+        assert_ne!(words_for(3, 20), words_for(4, 20));
+
+        // A tier's green field survives the packed round trip.
+        let domain = build_domain(&inst, Some(tier), &cfg).unwrap();
+        let key = Key {
+            reds: [0b101, 0b10, 0, 0],
+            green: 1 << 19,
+            blue: 0b1000,
+        };
+        let mut words = [0u64; 2];
+        domain.pack(&key, &mut words);
+        assert_eq!(domain.unpack(&words), key);
+        // A zero-capacity tier is no tier.
+        let out = solve_exact(&inst, Some(GreenTier { cap: 0, cost: 1 }), &cfg, "mpp");
+        let vanilla = solve_exact(&inst, None, &cfg, "mpp");
+        assert_eq!(out.stats.settled, vanilla.stats.settled);
+        assert_eq!(out.solution.unwrap().steps, vanilla.solution.unwrap().steps);
     }
 
     #[test]

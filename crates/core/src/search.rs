@@ -334,8 +334,8 @@ impl SearchStats {
 }
 
 /// Per-shard counters from one parallel solve (empty for sequential
-/// runs). Emitted as `solver.<which>.shard<i>.*` trace gauges via
-/// [`trace_shards`].
+/// runs). Emitted as `solver.<which>.shard<i>.*` trace gauges by the
+/// exact solvers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Shard index (also the owning worker thread's index).
@@ -393,7 +393,7 @@ impl ShardStats {
 /// pushed,sent,send_blocks,foreign_expansions,locality_fraction,
 /// duplicate_rate,arena_bytes}` trace gauges. No-op while tracing is
 /// disabled or for sequential solves (empty slice).
-pub fn trace_shards(which: &str, shards: &[ShardStats]) {
+pub(crate) fn trace_shards(which: &str, shards: &[ShardStats]) {
     if !rbp_trace::enabled() {
         return;
     }
@@ -567,16 +567,16 @@ impl PhaseStats {
 }
 
 /// Scratch-embedded phase profiler the `Domain` implementations
-/// accumulate into during [`expand`](crate::engine::Domain::expand).
+/// accumulate into during `Domain::expand`.
 ///
 /// Owns a [`PhaseStats`] plus the cached timing flag; the driver drains
 /// it once per worker via `Domain::take_phases`, so the hot loop never
 /// touches shared state.
 #[derive(Debug, Clone)]
-pub struct PhaseProf {
+pub(crate) struct PhaseProf {
     timing: bool,
     /// The counters being accumulated.
-    pub stats: PhaseStats,
+    pub(crate) stats: PhaseStats,
 }
 
 impl Default for PhaseProf {
@@ -593,7 +593,7 @@ impl PhaseProf {
     /// set.
     #[inline]
     #[must_use]
-    pub fn start(&self) -> Option<std::time::Instant> {
+    pub(crate) fn start(&self) -> Option<std::time::Instant> {
         if self.timing {
             Some(std::time::Instant::now())
         } else {
@@ -603,7 +603,7 @@ impl PhaseProf {
 
     /// Accounts a started timer to the canonicalize phase.
     #[inline]
-    pub fn stop_canon(&mut self, t0: Option<std::time::Instant>) {
+    pub(crate) fn stop_canon(&mut self, t0: Option<std::time::Instant>) {
         if let Some(t0) = t0 {
             self.stats.canonicalize_ns += t0.elapsed().as_nanos() as u64;
         }
@@ -611,14 +611,14 @@ impl PhaseProf {
 
     /// Accounts a started timer to the heuristic phase.
     #[inline]
-    pub fn stop_heur(&mut self, t0: Option<std::time::Instant>) {
+    pub(crate) fn stop_heur(&mut self, t0: Option<std::time::Instant>) {
         if let Some(t0) = t0 {
             self.stats.heuristic_ns += t0.elapsed().as_nanos() as u64;
         }
     }
 
     /// Drains the accumulated counters, leaving zeros behind.
-    pub fn take(&mut self) -> PhaseStats {
+    pub(crate) fn take(&mut self) -> PhaseStats {
         std::mem::take(&mut self.stats)
     }
 }
@@ -640,6 +640,32 @@ pub struct SearchOutcome<T> {
     pub shards: Vec<ShardStats>,
     /// Phase-level hot-path accounting (summed across shards).
     pub phases: PhaseStats,
+}
+
+impl<T> SearchOutcome<T> {
+    /// An outcome decided without searching (trivial or unsupported
+    /// instances): no counters.
+    pub(crate) fn unsearched(solution: Option<T>, reason: StopReason) -> Self {
+        SearchOutcome {
+            solution,
+            stats: SearchStats::default(),
+            reason,
+            shards: Vec::new(),
+            phases: PhaseStats::default(),
+        }
+    }
+
+    /// Maps the solution, keeping the counters and the stop reason.
+    #[must_use]
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> SearchOutcome<U> {
+        SearchOutcome {
+            solution: self.solution.map(f),
+            stats: self.stats,
+            reason: self.reason,
+            shards: self.shards,
+            phases: self.phases,
+        }
+    }
 }
 
 /// A compact one-word move encoding; the solvers define the bit layout.
@@ -835,7 +861,7 @@ impl AdmissibleHeuristic {
     /// three-level game reloads green-held values at `green_cost`,
     /// which may undercut the blue `g`.
     #[must_use]
-    pub fn with_load_cost(mut self, load_cost: u64) -> Self {
+    pub(crate) fn with_load_cost(mut self, load_cost: u64) -> Self {
         self.load_cost = load_cost;
         self
     }
@@ -924,7 +950,7 @@ impl AdmissibleHeuristic {
     /// Returns `None` iff the parent state is dead (same contract as
     /// `eval`).
     #[must_use]
-    pub fn prepare(&self, red_all: u64, blue: u64, computed: u64) -> Option<HeurCtx> {
+    pub(crate) fn prepare(&self, red_all: u64, blue: u64, computed: u64) -> Option<HeurCtx> {
         let pebbled = red_all | blue;
         let mut need = self.sinks & !pebbled;
         let mut stack = need;
@@ -948,6 +974,7 @@ impl AdmissibleHeuristic {
             pebbled,
             need,
             pred_union,
+            #[cfg(test)]
             h,
             computed,
         })
@@ -985,7 +1012,7 @@ impl AdmissibleHeuristic {
     /// the last copy) or changed `computed` — re-runs the from-scratch
     /// evaluation.
     #[must_use]
-    pub fn eval_delta(
+    pub(crate) fn eval_delta(
         &self,
         ctx: &HeurCtx,
         red_all: u64,
@@ -1047,21 +1074,23 @@ impl AdmissibleHeuristic {
 }
 
 /// Per-parent context for [`AdmissibleHeuristic::eval_delta`]: the
-/// parent's pebbled mask, needed set, and bound, cached by
+/// parent's pebbled mask and needed set, cached by
 /// [`AdmissibleHeuristic::prepare`] once per expansion.
 #[derive(Debug, Clone, Copy)]
-pub struct HeurCtx {
+pub(crate) struct HeurCtx {
     pebbled: u64,
     need: u64,
     pred_union: u64,
+    /// The parent's bound, kept for the unit tests to read back.
+    #[cfg(test)]
     h: u64,
     computed: u64,
 }
 
+#[cfg(test)]
 impl HeurCtx {
     /// The parent's heuristic value (what `eval` returned for it).
-    #[must_use]
-    pub fn h(&self) -> u64 {
+    fn h(&self) -> u64 {
         self.h
     }
 }

@@ -1,6 +1,6 @@
 //! Hierarchical instances, the two-I/O-cost model, and configurations.
 
-use rbp_core::{CostModel, GameMode, MppInstance};
+use rbp_core::{CostModel, GameMode, GreenTier, MppInstance};
 use rbp_dag::{Dag, NodeId, NodeSet};
 
 /// Per-rule costs of the three-level game.
@@ -179,6 +179,16 @@ impl<'a> HierInstance<'a> {
             k: self.k,
             r: self.r,
             model: self.model.as_mpp(),
+        }
+    }
+
+    /// The green tier as the exact search takes it (a zero capacity
+    /// builds none).
+    #[must_use]
+    pub fn green_tier(&self) -> GreenTier {
+        GreenTier {
+            cap: self.green_cap,
+            cost: self.model.green,
         }
     }
 

@@ -25,18 +25,21 @@
 //!
 //! - **Degenerate reduction.** With `green_cap = 0` (or `green = g`)
 //!   the game *is* vanilla MPP: same reachable configurations, same
-//!   optimal cost, verified byte-for-byte against `rbp_core::solve_mpp`
-//!   over randomized instances.
+//!   optimal cost. At `green_cap = 0` the exact search builds no green
+//!   tier at all; the randomized suite checks equal optima, tallies and
+//!   state counts against `rbp_core::solve_mpp_with`.
 //! - **Projection.** Merging green into blue flattens any three-level
 //!   strategy into a valid two-level one ([`hier_to_mpp`]), so
 //!   `OPT_MPP ≤ g·(blue I/O + green I/O) + computes` — the three-level
 //!   optimum with green re-priced at `g`.
 //!
-//! The exact solver ([`solve_hier`]) runs on the shared
-//! [`rbp_core::engine`] A\* drivers (sequential and hash-sharded
-//! parallel), inheriting processor-symmetry canonicalization, the
-//! Lemma 1 admissible heuristic (with `G ∪ B` as the out-of-fast-memory
-//! set), and lazy eviction. Heuristic schedulers ([`GreenList`],
+//! The exact solver ([`solve_hier`]) is `rbp_core`'s exact MPP search
+//! given a [`rbp_core::GreenTier`] ([`rbp_core::solve_exact`]): the
+//! same sequential and hash-sharded parallel A\* drivers,
+//! processor-symmetry canonicalization, Lemma 1 admissible heuristic
+//! (with `G ∪ B` as the out-of-fast-memory set) and lazy eviction. Its
+//! witness is mapped to [`HierMove`]s and replayed through
+//! [`validate_hier`], which shares no code with the search. Heuristic schedulers ([`GreenList`],
 //! [`HierTopoBaseline`]) build strategies through the rule-enforcing
 //! [`HierSimulator`].
 //!

@@ -16,7 +16,7 @@ echo "== cargo build --release =="
 cargo build --offline --release --workspace --all-targets
 
 echo "== cargo test =="
-cargo test --offline --release -q
+cargo test --offline --release --workspace -q
 
 echo "== cargo doc (missing docs are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet

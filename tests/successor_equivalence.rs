@@ -21,14 +21,13 @@
 //! Every case is a deterministic function of its loop index (seeded
 //! in-tree RNG), so a failure message identifies the exact instance.
 
-use rbp::core::mpp::exact::probe as mpp_probe;
+use rbp::core::mpp::exact::probe::successor_walk;
 use rbp::core::rbp_dag::generators;
 use rbp::core::spp::exact::probe as spp_probe;
 use rbp::core::{
     solve_mpp_with, solve_spp_with, CostModel, MppInstance, SearchConfig, SolveLimits, SppInstance,
     SppVariant,
 };
-use rbp::hier::exact::probe as hier_probe;
 use rbp::hier::{solve_hier_with, HierInstance};
 use rbp::util::Rng;
 
@@ -63,7 +62,7 @@ fn mpp_pruned_successors_are_dominated_and_opt_preserved() {
         let inst = MppInstance::new(&dag, k, r, g);
         let ctx = format!("mpp case {case}: n={n} k={k} r={r} g={g}");
 
-        for (step, (naive, pruned)) in mpp_probe::successor_walk(&inst, case, WALK_STEPS)
+        for (step, (naive, pruned)) in successor_walk(&inst, None, case, WALK_STEPS)
             .into_iter()
             .enumerate()
         {
@@ -203,9 +202,14 @@ fn hier_pruned_successors_are_dominated_and_opt_preserved() {
         let ctx =
             format!("hier case {case}: n={n} k={k} r={r} g={g} cap={green_cap} gc={green_cost}");
 
-        for (step, (naive, pruned)) in hier_probe::successor_walk(&inst, case, WALK_STEPS)
-            .into_iter()
-            .enumerate()
+        for (step, (naive, pruned)) in successor_walk(
+            &inst.mpp_instance(),
+            Some(inst.green_tier()),
+            case,
+            WALK_STEPS,
+        )
+        .into_iter()
+        .enumerate()
         {
             for s in &pruned {
                 assert!(
