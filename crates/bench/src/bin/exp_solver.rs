@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 
-use rbp_bench::{banner, par_sweep, Table};
+use rbp_bench::{banner, Table};
 use rbp_core::rbp_dag::{generators, Dag};
 use rbp_core::{solve_mpp_with, MppInstance, PartitionMode, SearchConfig, SearchStats};
 use rbp_util::json::Json;
@@ -233,8 +233,12 @@ fn main() {
     // one core, so the wall-clock side of the sweep is noise: skip it
     // entirely and flag the run rather than record fake scaling data.
     let sweep_valid = hardware_threads > 1;
-    let cases = grid_cases(quick);
-    let results = par_sweep(cases, |case| run_case(case, sweep_valid));
+    // Cases run one at a time: a sibling case on the other core would
+    // skew every wall-clock column.
+    let results: Vec<Outcome> = grid_cases(quick)
+        .iter()
+        .map(|case| run_case(case, sweep_valid))
+        .collect();
 
     let mut t = Table::new(&[
         "instance",

@@ -166,6 +166,9 @@ pub fn finish_trace() {
 
 /// Runs `f` over all `inputs` in parallel (scoped threads, one per input
 /// up to `max_threads`), returning outputs in input order.
+///
+/// Meant for untimed work: cases that share the cores skew each other's
+/// wall-clock figures, so timed sections belong in a serial loop.
 pub fn par_sweep<I, O, F>(inputs: Vec<I>, f: F) -> Vec<O>
 where
     I: Sync,

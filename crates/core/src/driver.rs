@@ -7,8 +7,8 @@
 //! own the search loop, the packed interning arenas, and the frontier.
 //!
 //! `threads = 1` runs [`sequential`]: the classic A\* loop, stopping at
-//! the first goal pop (optimal under the consistent heuristic), with
-//! identical expansion order to the pre-refactor engine.
+//! the first goal pop (optimal under the admissible heuristic, whatever
+//! order the frontier pops entries of equal `f` in).
 //!
 //! `threads ≥ 2` runs [`parallel`], an HDA\*-style search (Kishimoto et
 //! al.): every canonical state is **owned** by a shard chosen through
@@ -51,7 +51,7 @@ use std::time::Instant;
 use crate::arena::{gid, gid_idx, gid_shard, hash_words, shard_of, StateArena, MAX_KEY_WORDS};
 use crate::search::{
     phase_timing_enabled, Frontier, PackedMove, PhaseStats, SearchConfig, SearchStats, ShardStats,
-    SolveLimits, StopReason, MAX_THREADS,
+    StopReason, MAX_THREADS,
 };
 use crate::spsc::Spsc;
 
@@ -163,130 +163,18 @@ impl<K> DriverOutcome<K> {
 /// `1..=MAX_THREADS`).
 pub fn search<D: Domain>(domain: &D, config: &SearchConfig) -> DriverOutcome<D::Key> {
     let threads = config.threads.clamp(1, MAX_THREADS);
-    // A weighted-A* probe for a feasible schedule seeds an incumbent:
-    // the exact search then discards every successor whose f-value
-    // provably cannot beat it, before paying the dominant cost of
-    // hashing and interning it. When the probe's schedule turns out
-    // optimal, the exact search never settles the `f == OPT` plateau
-    // at all — exhausting `f < ub` proves the incumbent optimal and
-    // the probe's own schedule is the witness. Only worthwhile when
-    // the heuristic exists to guide the probe and compute f — a
-    // baseline run keeps the unpruned search it is meant to measure.
-    let incumbent = if config.heuristic {
-        probe_upper_bound(domain, config)
-    } else {
-        None
-    };
     if threads == 1 {
-        sequential(domain, config, incumbent)
+        sequential(domain, config)
     } else {
-        parallel(domain, config, threads, incumbent)
+        parallel(domain, config, threads)
     }
-}
-
-/// A feasible schedule found by the upper-bound probe: its cost and
-/// its full move path, kept so the exact search can return it as the
-/// witness when it proves no strictly better schedule exists.
-type Incumbent<K> = (u64, Vec<(K, PackedMove)>);
-
-/// Heuristic inflation of the upper-bound probe, as a ratio:
-/// `f = g + h·3/2`. Weighted A* with an admissible `h` returns a goal
-/// within `3/2` of optimal while settling a small fraction of the
-/// exact search's states.
-const PROBE_WEIGHT_NUM: u64 = 3;
-const PROBE_WEIGHT_DEN: u64 = 2;
-/// Settled-state budget of the probe. The probe is a bet: if greedy
-/// descent does not reach a goal quickly, give up and run the exact
-/// search unpruned rather than burn a meaningful slice of its budget.
-const PROBE_MAX_STATES: usize = 20_000;
-
-/// [`Domain`] wrapper inflating the heuristic for the upper-bound
-/// probe. Everything else delegates, so the probe reuses the exact
-/// engine — same canonicalization, dominance pruning, and arena.
-struct InflatedDomain<'a, D: Domain> {
-    inner: &'a D,
-}
-
-impl<D: Domain> InflatedDomain<'_, D> {
-    #[inline]
-    fn inflate(h: u64) -> u64 {
-        (h.saturating_mul(PROBE_WEIGHT_NUM)) / PROBE_WEIGHT_DEN
-    }
-}
-
-impl<D: Domain> Domain for InflatedDomain<'_, D> {
-    type Key = D::Key;
-    type Scratch = D::Scratch;
-
-    fn key_words(&self) -> usize {
-        self.inner.key_words()
-    }
-    fn pack(&self, key: &Self::Key, out: &mut [u64]) {
-        self.inner.pack(key, out);
-    }
-    fn unpack(&self, words: &[u64]) -> Self::Key {
-        self.inner.unpack(words)
-    }
-    fn root(&self) -> Self::Key {
-        self.inner.root()
-    }
-    fn is_goal(&self, key: &Self::Key) -> bool {
-        self.inner.is_goal(key)
-    }
-    fn heuristic(&self, key: &Self::Key) -> Option<u64> {
-        self.inner.heuristic(key).map(Self::inflate)
-    }
-    fn expand(&self, key: &Self::Key, scratch: &mut Self::Scratch, emit: EmitFn<'_, Self::Key>) {
-        self.inner.expand(key, scratch, &mut |k2, c, mv, hv| {
-            emit(k2, c, mv, &mut || hv().map(Self::inflate));
-        });
-    }
-    fn take_phases(&self, scratch: &mut Self::Scratch) -> PhaseStats {
-        self.inner.take_phases(scratch)
-    }
-    fn max_priority(&self) -> u64 {
-        self.inner
-            .max_priority()
-            .saturating_mul(PROBE_WEIGHT_NUM)
-            .saturating_add(PROBE_WEIGHT_DEN)
-    }
-    fn owner(&self, key: &Self::Key, hash: u64, shards: usize) -> usize {
-        self.inner.owner(key, hash, shards)
-    }
-}
-
-/// Runs weighted A* (the sequential engine over [`InflatedDomain`])
-/// for *any* goal state and returns its cost and move path — a
-/// feasible, not necessarily optimal, schedule. `None` when the probe
-/// gives up (state budget, deadline, or an unsolvable instance).
-///
-/// The bound is correct by construction: the probe only follows real
-/// [`Domain::expand`] edges from the root and `g` accumulates real
-/// edge costs, so the distance of any goal it settles is the cost of
-/// an actual schedule. The inflation only affects *which* goal greedy
-/// descent reaches first.
-fn probe_upper_bound<D: Domain>(domain: &D, config: &SearchConfig) -> Option<Incumbent<D::Key>> {
-    let probe_config = SearchConfig {
-        threads: 1,
-        limits: SolveLimits {
-            max_states: PROBE_MAX_STATES.min(config.limits.max_states),
-            deadline: config.limits.deadline,
-        },
-        ..*config
-    };
-    let inflated = InflatedDomain { inner: domain };
-    sequential(&inflated, &probe_config, None).best
 }
 
 // ---------------------------------------------------------------------
 // Sequential driver
 // ---------------------------------------------------------------------
 
-fn sequential<D: Domain>(
-    domain: &D,
-    config: &SearchConfig,
-    incumbent: Option<Incumbent<D::Key>>,
-) -> DriverOutcome<D::Key> {
+fn sequential<D: Domain>(domain: &D, config: &SearchConfig) -> DriverOutcome<D::Key> {
     let start = Instant::now();
     let kw = domain.key_words();
     let root = domain.root();
@@ -307,7 +195,7 @@ fn sequential<D: Domain>(
 
     let mut arena = StateArena::new(kw);
     let mut frontier: Frontier<u32> = Frontier::new(domain.max_priority());
-    stats.heap_fallback = matches!(frontier, Frontier::Heap(_));
+    stats.heap_fallback = frontier.is_heap();
 
     let mut wbuf = [0u64; MAX_KEY_WORDS];
     domain.pack(&root, &mut wbuf[..kw]);
@@ -321,34 +209,14 @@ fn sequential<D: Domain>(
     let mut phases = PhaseStats::default();
     let mut expand_ns = 0u64;
     let mut scratch = D::Scratch::default();
-    let ub = incumbent.as_ref().map(|&(u, _)| u);
     // The hot loop is allocation-free: successors are relaxed inline as
     // the domain emits them from its scratch buffers, with no
     // intermediate Vec.
     let mut best: Option<(u64, u64)> = None;
-    let mut proved_incumbent = false;
     let reason = loop {
-        let Some((f, idx, d)) = frontier.pop() else {
-            // With an incumbent, exhausting every `f < ub` state IS the
-            // optimality proof: the admissible bound keeps some state of
-            // any strictly cheaper schedule enqueued until it is found.
-            proved_incumbent = ub.is_some();
-            break if proved_incumbent {
-                StopReason::Solved
-            } else {
-                StopReason::Exhausted
-            };
+        let Some((_, idx, d)) = frontier.pop() else {
+            break StopReason::Exhausted;
         };
-        if let Some(ub) = ub {
-            // The popped f is the frontier minimum, which lower-bounds
-            // the cost of any schedule not yet found — reaching the
-            // incumbent proves the incumbent optimal. (Pushes filter
-            // `f >= ub`, so this triggers at most for the root.)
-            if f >= ub {
-                proved_incumbent = true;
-                break StopReason::Solved;
-            }
-        }
         if arena.meta(idx).dist != d {
             stats.stale += 1;
             continue;
@@ -371,21 +239,6 @@ fn sequential<D: Domain>(
         domain.expand(&key, &mut scratch, &mut |k2, c, mv, hv| {
             phases.emitted += 1;
             let nd = d + c;
-            // With a seeded incumbent the heuristic is evaluated
-            // eagerly: a successor whose f provably cannot *beat* the
-            // known feasible schedule is discarded before paying the
-            // dominant cost of hashing and interning it. Dead
-            // successors (`hv() == None`) are discarded the same way.
-            let mut hval: Option<u64> = None;
-            if let Some(ub) = ub {
-                match hv() {
-                    Some(hb) if nd + hb < ub => hval = Some(hb),
-                    _ => {
-                        phases.ub_pruned += 1;
-                        return;
-                    }
-                }
-            }
             let ti = if timing { Some(Instant::now()) } else { None };
             domain.pack(&k2, &mut wbuf[..kw]);
             let h = hash_words(&wbuf[..kw]);
@@ -394,7 +247,7 @@ fn sequential<D: Domain>(
                 phases.hash_intern_ns += t0.elapsed().as_nanos() as u64;
             }
             if improved {
-                if let Some(hv) = hval.or_else(hv) {
+                if let Some(hv) = hv() {
                     let tq = if timing { Some(Instant::now()) } else { None };
                     frontier.push(nd + hv, idx2, nd);
                     stats.pushed += 1;
@@ -416,16 +269,6 @@ fn sequential<D: Domain>(
     // minus the phases timed individually (all of which run inside
     // expand or its emit callback).
     phases.succ_gen_ns = expand_ns.saturating_sub(phases.timed_ns());
-    if proved_incumbent {
-        let (d, path) = incumbent.expect("proved_incumbent implies an incumbent");
-        return DriverOutcome {
-            best: Some((d, path)),
-            stats,
-            shards: Vec::new(),
-            reason: StopReason::Solved,
-            phases,
-        };
-    }
     if let Some((d, goal_gid)) = best {
         let path = reconstruct_path(domain, &[&arena], goal_gid);
         return DriverOutcome {
@@ -974,19 +817,14 @@ impl<'a, D: Domain> Worker<'a, D> {
             },
             stale: self.stale,
             frontier_peak: self.frontier_peak,
-            heap_fallback: matches!(self.frontier, Frontier::Heap(_)),
+            heap_fallback: self.frontier.is_heap(),
             phases: self.phases,
             arena: self.arena,
         }
     }
 }
 
-fn parallel<D: Domain>(
-    domain: &D,
-    config: &SearchConfig,
-    threads: usize,
-    incumbent: Option<Incumbent<D::Key>>,
-) -> DriverOutcome<D::Key> {
+fn parallel<D: Domain>(domain: &D, config: &SearchConfig, threads: usize) -> DriverOutcome<D::Key> {
     let start = Instant::now();
     let kw = domain.key_words();
     let root = domain.root();
@@ -1010,15 +848,6 @@ fn parallel<D: Domain>(
     let root_owner = domain.owner(&root, root_hash, threads);
 
     let shared = Shared::new();
-    if let Some((ub, _)) = incumbent {
-        // Seed the shared incumbent exactly as if a goal of cost `ub`
-        // had already been offered: every push and pop keeps only
-        // `f < ub`, which no strictly better schedule violates. A
-        // worker that pops a real goal cheaper than `ub` records it in
-        // the goal slot as usual; quiescing without one proves the
-        // probe's schedule optimal and it becomes the witness.
-        shared.incumbent.store(ub, Ordering::SeqCst);
-    }
     let chans: Vec<Spsc<MsgBlock>> = (0..threads * threads)
         .map(|_| Spsc::new(CHAN_CAP))
         .collect();
@@ -1108,16 +937,6 @@ fn parallel<D: Domain>(
                 let path = reconstruct_path(domain, &arenas, ggid);
                 DriverOutcome {
                     best: Some((dist, path)),
-                    stats,
-                    shards,
-                    reason: StopReason::Solved,
-                    phases,
-                }
-            } else if let Some((d, path)) = incumbent {
-                // Quiesced with every `f < ub` state exhausted and no
-                // cheaper goal found: the probe's schedule is optimal.
-                DriverOutcome {
-                    best: Some((d, path)),
                     stats,
                     shards,
                     reason: StopReason::Solved,

@@ -1148,6 +1148,20 @@ mod tests {
     }
 
     #[test]
+    fn deepest_first_frontier_settles_fewer_states_on_grid3x3() {
+        // 27,375 is what the engine settled here before entries of
+        // equal f popped deepest first.
+        let d = generators::grid(3, 3);
+        let out = solve_with(&MppInstance::new(&d, 2, 3, 2), &SearchConfig::default());
+        assert_eq!(out.solution.map(|s| s.total), Some(11));
+        assert!(
+            out.stats.settled < 27_375,
+            "settled {} states",
+            out.stats.settled
+        );
+    }
+
+    #[test]
     fn deadline_aborts_with_distinct_reason() {
         let d = generators::grid(3, 3);
         let limits = SolveLimits::states(500_000).with_deadline(std::time::Duration::from_nanos(0));

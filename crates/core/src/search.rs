@@ -8,9 +8,13 @@
 //! - `Frontier`: a monotone **bucket queue** indexed by `f = d + h`.
 //!   Edge costs are tiny integers, so the full priority range is at most
 //!   the trivial upper bound of Lemma 1; `pop` is a cursor advance and
-//!   `push` a `Vec` append, with zero per-operation heap rebalancing.
+//!   `push` a stack append, with zero per-operation heap rebalancing.
 //!   Instances whose cost range would make buckets wasteful (huge `g`)
-//!   fall back to a binary heap transparently.
+//!   fall back to a binary heap transparently. Both forms break ties
+//!   within one `f` **deepest first** (largest `d`), then last-in
+//!   first-out: the popped `f` is still the frontier minimum, so the
+//!   first goal popped stays optimal, while the final `f = OPT` plateau
+//!   is walked straight down instead of settled breadth-first.
 //! - [`SearchStats`] / [`ShardStats`]: counters for the benchmark
 //!   harness and trace gauges, including the packed-arena memory axis.
 //!
@@ -481,10 +485,6 @@ pub struct PhaseStats {
     pub idle_suppressed: u64,
     /// Successors emitted to the driver (post-pruning).
     pub emitted: u64,
-    /// Emitted successors the driver discarded before interning because
-    /// `g + h` exceeded the beam-probe upper bound (or the successor
-    /// was provably dead).
-    pub ub_pruned: u64,
 }
 
 impl PhaseStats {
@@ -501,7 +501,6 @@ impl PhaseStats {
         self.heur_full_evals += other.heur_full_evals;
         self.idle_suppressed += other.idle_suppressed;
         self.emitted += other.emitted;
-        self.ub_pruned += other.ub_pruned;
     }
 
     /// Sum of the explicitly timed phases (everything but the derived
@@ -540,7 +539,6 @@ impl PhaseStats {
             &format!("solver.phase.{which}.heur_full_evals"),
             self.heur_full_evals,
         );
-        rbp_trace::counter(&format!("solver.phase.{which}.ub_pruned"), self.ub_pruned);
         if self.timed_ns() + self.succ_gen_ns > 0 {
             rbp_trace::gauge(
                 &format!("solver.phase.{which}.canonicalize_ns"),
@@ -673,16 +671,35 @@ pub type PackedMove = u32;
 
 const BUCKET_CAP: u64 = 1 << 22;
 
+/// One `f` bucket: a LIFO stack per distinct `g`, sorted by ascending
+/// `g` and holding no empty stack, so the deepest entries are the last
+/// stack's top and an empty bucket is an empty `Vec`.
+type Bucket<K> = Vec<(u64, Vec<K>)>;
+
 /// Min-priority frontier: bucket queue for small priority ranges, binary
 /// heap fallback otherwise. Entries carry the g-value at push time so
 /// stale entries can be recognized without a decrease-key operation.
+///
+/// Among entries of minimum `f` the one with the **largest `g`** pops
+/// first, and entries with equal `(f, g)` pop last-in first-out, in
+/// both forms. Any order within one `f` keeps A\* optimal — the popped
+/// `f` is still the frontier minimum, so the first goal popped has
+/// minimal cost — but deepest-first runs almost straight to a goal
+/// once the search reaches the `f = OPT` plateau, instead of settling
+/// the plateau breadth-first.
 pub(crate) enum Frontier<K> {
     Buckets {
-        buckets: Vec<Vec<(K, u64)>>,
+        /// Indexed by `f`.
+        buckets: Vec<Bucket<K>>,
         cursor: usize,
         len: usize,
     },
-    Heap(BinaryHeap<(Reverse<u64>, K, u64)>),
+    /// Max-heap over `(Reverse(f), g, push sequence number, key)`: the
+    /// sequence number reproduces the buckets' LIFO order.
+    Heap {
+        heap: BinaryHeap<(Reverse<u64>, u64, u64, K)>,
+        seq: u64,
+    },
 }
 
 impl<K: Copy + Ord> Frontier<K> {
@@ -697,7 +714,10 @@ impl<K: Copy + Ord> Frontier<K> {
                 len: 0,
             }
         } else {
-            Frontier::Heap(BinaryHeap::new())
+            Frontier::Heap {
+                heap: BinaryHeap::new(),
+                seq: 0,
+            }
         }
     }
 
@@ -712,18 +732,33 @@ impl<K: Copy + Ord> Frontier<K> {
                 if idx >= buckets.len() {
                     buckets.resize_with(idx + 1, Vec::new);
                 }
-                buckets[idx].push((key, dist));
+                let bucket = &mut buckets[idx];
+                // Most pushes land on the deepest stack or start a
+                // deeper one; search from the back.
+                let at = bucket
+                    .iter()
+                    .rposition(|&(g, _)| g <= dist)
+                    .map_or(0, |i| i + 1);
+                if at > 0 && bucket[at - 1].0 == dist {
+                    bucket[at - 1].1.push(key);
+                } else {
+                    bucket.insert(at, (dist, vec![key]));
+                }
                 // A consistent heuristic never pushes below the cursor;
                 // tolerate it anyway so a merely-admissible heuristic
                 // still yields correct results.
                 *cursor = (*cursor).min(idx);
                 *len += 1;
             }
-            Frontier::Heap(heap) => heap.push((Reverse(priority), key, dist)),
+            Frontier::Heap { heap, seq } => {
+                heap.push((Reverse(priority), dist, *seq, key));
+                *seq += 1;
+            }
         }
     }
 
-    /// Pops the minimum-priority entry as `(priority, key, dist)`.
+    /// Pops the minimum-priority entry as `(priority, key, dist)`:
+    /// deepest first within the priority, then last-in first-out.
     pub(crate) fn pop(&mut self) -> Option<(u64, K, u64)> {
         match self {
             Frontier::Buckets {
@@ -738,9 +773,15 @@ impl<K: Copy + Ord> Frontier<K> {
                     *cursor += 1;
                 }
                 *len -= 1;
-                buckets[*cursor].pop().map(|(k, d)| (*cursor as u64, k, d))
+                let bucket = &mut buckets[*cursor];
+                let (dist, stack) = bucket.last_mut().expect("non-empty bucket");
+                let (dist, key) = (*dist, stack.pop().expect("no empty stacks"));
+                if stack.is_empty() {
+                    bucket.pop();
+                }
+                Some((*cursor as u64, key, dist))
             }
-            Frontier::Heap(heap) => heap.pop().map(|(Reverse(p), k, d)| (p, k, d)),
+            Frontier::Heap { heap, .. } => heap.pop().map(|(Reverse(p), d, _, k)| (p, k, d)),
         }
     }
 
@@ -763,7 +804,7 @@ impl<K: Copy + Ord> Frontier<K> {
                 }
                 Some(*cursor as u64)
             }
-            Frontier::Heap(heap) => heap.peek().map(|(Reverse(p), _, _)| *p),
+            Frontier::Heap { heap, .. } => heap.peek().map(|(Reverse(p), ..)| *p),
         }
     }
 
@@ -771,8 +812,13 @@ impl<K: Copy + Ord> Frontier<K> {
     pub(crate) fn len(&self) -> usize {
         match self {
             Frontier::Buckets { len, .. } => *len,
-            Frontier::Heap(heap) => heap.len(),
+            Frontier::Heap { heap, .. } => heap.len(),
         }
+    }
+
+    /// Whether this frontier fell back to the binary heap.
+    pub(crate) fn is_heap(&self) -> bool {
+        matches!(self, Frontier::Heap { .. })
     }
 }
 
@@ -1139,7 +1185,7 @@ mod tests {
     #[test]
     fn frontier_heap_fallback_orders_by_priority() {
         let mut f: Frontier<u32> = Frontier::new(u64::MAX);
-        assert!(matches!(f, Frontier::Heap(_)));
+        assert!(f.is_heap());
         f.push(1 << 40, 2, 7);
         f.push(3, 1, 3);
         assert_eq!(f.peek_priority(), Some(3));
@@ -1155,6 +1201,73 @@ mod tests {
         assert_eq!(f.pop(), Some((5, 50, 5)));
         f.push(2, 20, 2);
         assert_eq!(f.pop(), Some((2, 20, 2)));
+    }
+
+    /// Drains `f`, returning the popped `(priority, key, dist)` triples.
+    fn drain(f: &mut Frontier<u32>) -> Vec<(u64, u32, u64)> {
+        std::iter::from_fn(|| f.pop()).collect()
+    }
+
+    #[test]
+    fn frontier_pops_lowest_f_then_deepest_then_lifo() {
+        for max_priority in [100, u64::MAX] {
+            let mut f: Frontier<u32> = Frontier::new(max_priority);
+            assert_eq!(f.is_heap(), max_priority == u64::MAX);
+            // (f, key, g), pushed out of order on purpose.
+            for (p, k, d) in [
+                (7, 1, 2),
+                (5, 2, 1),
+                (5, 3, 4),
+                (7, 4, 6),
+                (5, 5, 1),
+                (5, 6, 3),
+                (5, 7, 4),
+                (5, 8, 1),
+            ] {
+                f.push(p, k, d);
+            }
+            assert_eq!(f.len(), 8);
+            assert_eq!(f.peek_priority(), Some(5));
+            let keys: Vec<u32> = drain(&mut f).iter().map(|&(_, k, _)| k).collect();
+            // f = 5: g = 4 (keys 3, 7 → LIFO 7, 3), g = 3 (6), g = 1
+            // (2, 5, 8 → LIFO 8, 5, 2); then f = 7: g = 6, g = 2.
+            assert_eq!(
+                keys,
+                [7, 3, 6, 8, 5, 2, 4, 1],
+                "max_priority {max_priority}"
+            );
+            assert_eq!(f.peek_priority(), None);
+        }
+    }
+
+    #[test]
+    fn frontier_bucket_and_heap_pop_the_same_sequence() {
+        // Interleaved pushes and pops over a small (f, g) range, with a
+        // consistent-heuristic shape (no push below the last popped f):
+        // both forms must agree entry for entry.
+        let mut rng = rbp_util::Rng::new(0x5eed);
+        let mut buckets: Frontier<u32> = Frontier::new(100);
+        let mut heap: Frontier<u32> = Frontier::new(u64::MAX);
+        let mut floor = 0;
+        for key in 0..2_000u32 {
+            if rng.bool(0.4) {
+                let popped = buckets.pop();
+                assert_eq!(popped, heap.pop());
+                if let Some((p, _, _)) = popped {
+                    floor = p;
+                }
+            }
+            let p = floor + rng.next_below(4);
+            let d = rng.next_below(p + 1);
+            buckets.push(p, key, d);
+            heap.push(p, key, d);
+            assert_eq!(buckets.len(), heap.len());
+        }
+        let rest = drain(&mut buckets);
+        assert!(rest
+            .windows(2)
+            .all(|w| (w[0].0, Reverse(w[0].2)) <= (w[1].0, Reverse(w[1].2))));
+        assert_eq!(rest, drain(&mut heap));
     }
 
     #[test]

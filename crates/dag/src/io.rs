@@ -139,21 +139,18 @@ pub fn parse(text: &str) -> Result<Dag, ParseError> {
         line: 0,
         msg: "missing 'nodes' line".into(),
     })?;
+    // The first label for an id wins (the sort is stable), and ids
+    // outside `0..n` are never reached.
+    labels.sort_by_key(|&(id, _)| id);
+    labels.dedup_by_key(|(id, _)| *id);
+    let mut labels = labels.into_iter().peekable();
     let mut b = DagBuilder::with_nodes(0);
     b.name(name);
     for i in 0..n {
-        let lbl = labels
-            .iter()
-            .find(|(id, _)| *id == i)
-            .map(|(_, l)| l.clone());
-        match lbl {
-            Some(l) => {
-                b.add_labeled_node(l);
-            }
-            None => {
-                b.add_node();
-            }
-        }
+        match labels.next_if(|&(id, _)| id == i) {
+            Some((_, l)) => b.add_labeled_node(l),
+            None => b.add_node(),
+        };
     }
     for (u, v) in edges {
         if u >= n || v >= n {
@@ -197,6 +194,46 @@ mod tests {
         assert_eq!(d2.name(), "zipper(d=2)");
         assert_eq!(d2.label(a), "alpha");
         assert_eq!(d2.label(c), "");
+    }
+
+    #[test]
+    fn first_label_wins_and_out_of_range_labels_are_ignored() {
+        let text = "nodes 2\nlabel 1 first\nlabel 1 second\nlabel 2 gone\nlabel 0 a b\nend\n";
+        let d = parse(text).unwrap();
+        assert_eq!(d.n(), 2);
+        assert_eq!(d.label(NodeId::new(0)), "a b");
+        assert_eq!(d.label(NodeId::new(1)), "first");
+    }
+
+    #[test]
+    fn round_trip_large_labeled_dag() {
+        let n = 4_000;
+        let mut b = DagBuilder::new();
+        let ids: Vec<NodeId> = (0..n)
+            .map(|i| {
+                if i % 3 == 0 {
+                    b.add_node()
+                } else {
+                    b.add_labeled_node(format!("v{i}"))
+                }
+            })
+            .collect();
+        for w in ids.windows(2) {
+            b.add_edge(w[0], w[1]);
+        }
+        b.name("chain4000");
+        let d = b.build().unwrap();
+        let d2 = parse(&to_text(&d)).unwrap();
+        assert_eq!(d2.n(), n);
+        assert_eq!(d2.name(), "chain4000");
+        assert_eq!(
+            d.edges().collect::<Vec<_>>(),
+            d2.edges().collect::<Vec<_>>()
+        );
+        for v in d.nodes() {
+            assert_eq!(d.label(v), d2.label(v));
+        }
+        assert_eq!(to_text(&d2), to_text(&d));
     }
 
     #[test]
