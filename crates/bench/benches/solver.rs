@@ -97,8 +97,7 @@ fn main() {
 
     // Hot-path kernels (`solver_kernel` group), timed in isolation via
     // the solver's probe hooks: memoized processor-permutation
-    // canonicalization, the incremental (delta) heuristic against the
-    // from-scratch evaluation it replaces, and per-expansion successor
+    // canonicalization, heuristic evaluation, and per-expansion successor
     // generation with dominance pruning off vs on. All walk-based
     // kernels share a fixed seed so before/after runs time identical
     // work; the returned checksums keep the work live.
@@ -109,13 +108,10 @@ fn main() {
         probe::canon_kernel(64_000, KSEED)
     });
     m.extra.add("keys", 64_000u64);
-    for (label, delta) in [
-        ("solver_kernel/heur_scratch_8k", false),
-        ("solver_kernel/heur_delta_8k", true),
-    ] {
-        let m = b.run(label, || probe::heur_kernel(&inst, 8_000, delta, KSEED));
-        m.extra.add("evals", 8_000u64);
-    }
+    let m = b.run("solver_kernel/heur_eval_8k", || {
+        probe::heur_kernel(&inst, 8_000, KSEED)
+    });
+    m.extra.add("evals", 8_000u64);
     for (label, dominance) in [
         ("solver_kernel/expand_naive_2k", false),
         ("solver_kernel/expand_pruned_2k", true),

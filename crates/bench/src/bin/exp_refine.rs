@@ -13,7 +13,7 @@
 //! Usage: `exp_refine [--quick]` (`--quick` trims budgets and the grid
 //! for CI). Honors `RBP_SEED` for the randomized pieces.
 
-use rbp_bench::{banner, par_sweep, Table};
+use rbp_bench::{banner, Table};
 use rbp_bounds::trivial;
 use rbp_core::rbp_dag::{generators, Dag};
 use rbp_core::{batchify, solve_mpp, MppInstance, SolveLimits};
@@ -178,7 +178,12 @@ fn main() {
     banner("E17", "heuristic-to-OPT gap closed by anytime refinement");
 
     let all = cases(quick, seed);
-    let results = par_sweep(all, |c| run_case(c, budget_millis, seed));
+    // One case at a time: each runs on a wall-clock budget, so a
+    // sibling case on the same cores would shrink its effective budget.
+    let results: Vec<Outcome> = all
+        .iter()
+        .map(|c| run_case(c, budget_millis, seed))
+        .collect();
 
     let mut t = Table::new(&[
         "instance",

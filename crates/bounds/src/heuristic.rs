@@ -14,6 +14,13 @@
 //!   unpebbled nodes) must be computed at least once, and a compute step
 //!   finishes at most `k` of them that are *minimal* in the needed set —
 //!   hence `ceil(|needed|/k)` compute steps;
+//! - a needed node is computed strictly after its needed predecessors,
+//!   so with `n_c` the needed nodes that start a needed path of more
+//!   than `c` nodes, those `n_c` nodes fit in the first `T − c` of any
+//!   `T` compute steps: at least `max over c of (c + ceil(n_c/k))`
+//!   compute steps (a critical-path count; it adds nothing at `k = 1`).
+//!   A compute step lowers each of these terms by at most 1, so the
+//!   bound stays consistent;
 //! - values that are blue but not red and can never be recomputed
 //!   (Hong–Kung inputs, spent one-shot nodes) must be loaded, `≤ k` per
 //!   load step;

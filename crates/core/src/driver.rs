@@ -473,7 +473,6 @@ impl<'a, D: Domain> Worker<'a, D> {
         let (idx, improved) = self.arena.relax(words, hash, dist, parent, mv);
         if improved {
             let key = self.domain.unpack(words);
-            self.phases.heur_full_evals += 1;
             if let Some(hv) = self.domain.heuristic(&key) {
                 let f = dist + hv;
                 if f < self.shared.incumbent.load(Ordering::Relaxed) {

@@ -25,9 +25,10 @@
 //!   to `k!` states into one; witness reconstruction re-applies the
 //!   permutation trail so the returned witness uses consistent concrete
 //!   labels.
-//! - **Admissible heuristic.** `ceil(|needed| / k) · compute`, where
-//!   `needed` is the set of nodes that provably must still be computed
-//!   (see [`crate::search::AdmissibleHeuristic`]), evaluated with
+//! - **Admissible heuristic.** `ceil(|needed| / k) · compute`, raised
+//!   to the needed set's critical-path step count, where `needed` is
+//!   the set of nodes that provably must still be computed (see
+//!   [`crate::search::AdmissibleHeuristic`]), evaluated with
 //!   `G ∪ B` in the role of the blue set: a green pebble, like a blue
 //!   one, certifies the value exists outside fast memory. With a tier,
 //!   re-entry is priced at `min(g, green cost)`, since a green reload
@@ -48,8 +49,8 @@ use crate::arena::{pack_fields, unpack_fields, words_for};
 use crate::driver::{self, Domain, EmitFn};
 use crate::partition::Partition;
 use crate::search::{
-    trace_shards, HeurCtx, PackedMove, PhaseProf, PhaseStats, SearchConfig, SearchOutcome,
-    StopReason, MAX_THREADS,
+    trace_shards, PackedMove, PhaseProf, PhaseStats, SearchConfig, SearchOutcome, StopReason,
+    MAX_THREADS,
 };
 use crate::{
     AdmissibleHeuristic, Cost, MppInstance, MppMove, MppStrategy, Pebble, ProcId, SolveLimits,
@@ -451,20 +452,6 @@ impl Domain for MppDomain {
         let full = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
         let MppScratch { batch, prof } = scratch;
 
-        // Per-parent heuristic context: one from-scratch closure walk
-        // whose needed set answers most successors in O(1) via
-        // `eval_delta`.
-        let hctx: Option<HeurCtx> = if self.use_heuristic {
-            let t0 = prof.start();
-            prof.stats.heur_full_evals += 1;
-            let ctx = self.heur.prepare(key.red_all(), key.outer(), 0);
-            prof.stop_heur(t0);
-            debug_assert!(ctx.is_some(), "MPP states are never dead");
-            ctx
-        } else {
-            None
-        };
-
         let mut emit_raw = |mut raw: Key, cost: u64, mv: PackedMove| {
             if self.symmetry {
                 let t0 = prof.start();
@@ -481,13 +468,7 @@ impl Domain for MppDomain {
                     return Some(0);
                 }
                 let t0 = prof.start();
-                let hv = match &hctx {
-                    Some(ctx) => {
-                        self.heur
-                            .eval_delta(ctx, raw.red_all(), raw.outer(), 0, &mut prof.stats)
-                    }
-                    None => self.heur.eval(raw.red_all(), raw.outer(), 0),
-                };
+                let hv = self.heur.eval(raw.red_all(), raw.outer(), 0);
                 prof.stop_heur(t0);
                 hv
             });
@@ -864,8 +845,8 @@ pub mod probe {
     //! successor sets along deterministic pseudo-random walks — the
     //! substrate of the successor-set equivalence property tests, for
     //! the two-level game and (with a [`GreenTier`]) the three-level
-    //! one — and the micro-kernels (`canonicalize`, heuristic delta vs
-    //! from-scratch, per-expansion successor generation) timed by the
+    //! one — and the micro-kernels (`canonicalize`, heuristic
+    //! evaluation, per-expansion successor generation) timed by the
     //! `solver_kernel` bench group. Not a public API.
 
     use super::*;
@@ -953,6 +934,41 @@ pub mod probe {
         out
     }
 
+    /// Walks `steps` states from the root along a seeded random path
+    /// through *naive* successors and returns, for every visited state,
+    /// its admissible bound and the `(edge cost, bound)` pair of each
+    /// naive successor — the substrate of the heuristic-consistency
+    /// property tests. Panics on unsupported instances.
+    #[must_use]
+    pub fn heuristic_walk(
+        instance: &MppInstance,
+        tier: Option<GreenTier>,
+        seed: u64,
+        steps: usize,
+    ) -> Vec<(u64, Vec<(u64, u64)>)> {
+        let naive = domain(instance, tier, &raw_config(false));
+        let h = |key: &Key| {
+            naive
+                .heur
+                .eval(key.red_all(), key.outer(), 0)
+                .expect("MPP states are never dead")
+        };
+        let mut rng = Rng::new(seed);
+        let mut scratch = MppScratch::default();
+        let mut key = naive.root();
+        let mut out = Vec::with_capacity(steps);
+        for _ in 0..steps {
+            let ns = expand_into(&naive, &key, &mut scratch);
+            if ns.is_empty() {
+                break;
+            }
+            let edges = ns.iter().map(|s| (s.cost, h(&s.key()))).collect();
+            out.push((h(&key), edges));
+            key = ns[rng.index(ns.len())].key();
+        }
+        out
+    }
+
     /// Canonicalization micro-kernel: sorts `iters` pseudo-random
     /// 4-mask keys through the memoized path; returns a checksum so the
     /// work cannot be optimized away.
@@ -976,15 +992,13 @@ pub mod probe {
     }
 
     /// Heuristic micro-kernel: evaluates the admissible bound for every
-    /// successor along a seeded walk, either through the incremental
-    /// delta path (`delta = true`) or from scratch, until `iters`
-    /// evaluations have run. Returns a checksum of the bounds.
+    /// successor along a seeded walk until `iters` evaluations have
+    /// run. Returns a checksum of the bounds.
     #[must_use]
-    pub fn heur_kernel(instance: &MppInstance, iters: u64, delta: bool, seed: u64) -> u64 {
+    pub fn heur_kernel(instance: &MppInstance, iters: u64, seed: u64) -> u64 {
         let domain = domain(instance, None, &raw_config(true));
         let mut rng = Rng::new(seed);
         let mut scratch = MppScratch::default();
-        let mut stats = PhaseStats::default();
         let mut key = domain.root();
         let mut acc = 0u64;
         let mut done = 0u64;
@@ -994,17 +1008,8 @@ pub mod probe {
                 key = domain.root();
                 continue;
             }
-            let ctx = domain
-                .heur
-                .prepare(key.red_all(), key.outer(), 0)
-                .expect("MPP states are never dead");
             for s in &succs {
-                let (red_all, outer) = (s.key().red_all(), s.key().outer());
-                let hv = if delta {
-                    domain.heur.eval_delta(&ctx, red_all, outer, 0, &mut stats)
-                } else {
-                    domain.heur.eval(red_all, outer, 0)
-                };
+                let hv = domain.heur.eval(s.key().red_all(), s.key().outer(), 0);
                 acc = acc.rotate_left(5) ^ hv.unwrap_or(u64::MAX);
                 done += 1;
                 if done >= iters {
@@ -1017,9 +1022,9 @@ pub mod probe {
     }
 
     /// Successor-generation micro-kernel: expands states along a seeded
-    /// walk (heuristic delta and canonicalization included, as in the
-    /// real hot loop) until `iters` expansions have run; returns the
-    /// total number of emitted successors.
+    /// walk (canonicalization included, as in the real hot loop) until
+    /// `iters` expansions have run; returns the total number of emitted
+    /// successors.
     #[must_use]
     pub fn expand_kernel(instance: &MppInstance, iters: u64, dominance: bool, seed: u64) -> u64 {
         let config = SearchConfig {
@@ -1148,14 +1153,15 @@ mod tests {
     }
 
     #[test]
-    fn deepest_first_frontier_settles_fewer_states_on_grid3x3() {
-        // 27,375 is what the engine settled here before entries of
-        // equal f popped deepest first.
+    fn critical_path_heuristic_settles_fewer_states_on_grid3x3() {
+        // The engine settled 27,375 states here before entries of equal
+        // f popped deepest first, and 23,021 before the heuristic
+        // counted the needed set's critical path.
         let d = generators::grid(3, 3);
         let out = solve_with(&MppInstance::new(&d, 2, 3, 2), &SearchConfig::default());
         assert_eq!(out.solution.map(|s| s.total), Some(11));
         assert!(
-            out.stats.settled < 27_375,
+            out.stats.settled < 23_021,
             "settled {} states",
             out.stats.settled
         );

@@ -30,8 +30,8 @@ use crate::arena::{pack_fields, unpack_fields, words_for};
 use crate::driver::{self, Domain, EmitFn};
 use crate::partition::Partition;
 use crate::search::{
-    trace_shards, HeurCtx, PackedMove, PhaseProf, PhaseStats, SearchConfig, SearchOutcome,
-    SearchStats, ShardStats, StopReason, MAX_THREADS,
+    trace_shards, PackedMove, PhaseProf, PhaseStats, SearchConfig, SearchOutcome, SearchStats,
+    ShardStats, StopReason, MAX_THREADS,
 };
 use crate::{AdmissibleHeuristic, Cost, SppInstance, SppMove, SppStrategy};
 
@@ -225,34 +225,13 @@ impl Domain for SppDomain {
         let one_shot = self.one_shot;
         let prof = &mut scratch.prof;
 
-        // Per-parent heuristic context: one from-scratch closure walk
-        // whose needed set answers the base-variant successors in O(1)
-        // via `eval_delta` (the one-shot / Hong–Kung variants carry I/O
-        // terms and fall back to the full evaluation automatically).
-        // `prepare` returns `None` only on dead states, which the driver
-        // never expands; fall back to per-successor `eval` regardless.
-        let hctx: Option<HeurCtx> = if self.use_heuristic {
-            let t0 = prof.start();
-            prof.stats.heur_full_evals += 1;
-            let ctx = self.heur.prepare(red, blue, computed);
-            prof.stop_heur(t0);
-            ctx
-        } else {
-            None
-        };
         let mut emit_one = |nk: Key, cost: u64, mv: PackedMove| {
             emit(nk, cost, mv, &mut || {
                 if !self.use_heuristic {
                     return Some(0);
                 }
                 let t0 = prof.start();
-                let hv = match &hctx {
-                    Some(ctx) => {
-                        self.heur
-                            .eval_delta(ctx, nk.red, nk.blue, nk.computed, &mut prof.stats)
-                    }
-                    None => self.heur.eval(nk.red, nk.blue, nk.computed),
-                };
+                let hv = self.heur.eval(nk.red, nk.blue, nk.computed);
                 prof.stop_heur(t0);
                 hv
             });

@@ -481,7 +481,7 @@ mod tests {
             "{\"type\":\"manifest\",\"schema\":1,\"tool\":\"rbp\",\"git_rev\":null}\n",
             "{\"type\":\"counter\",\"ts_us\":1,\"name\":\"solver.phase.mpp.canon_memo_hits\",\"value\":900}\n",
             "{\"type\":\"counter\",\"ts_us\":2,\"name\":\"solver.phase.mpp.canon_sorts\",\"value\":100}\n",
-            "{\"type\":\"counter\",\"ts_us\":3,\"name\":\"solver.phase.mpp.heur_delta_fast\",\"value\":800}\n",
+            "{\"type\":\"counter\",\"ts_us\":3,\"name\":\"solver.phase.mpp.emitted\",\"value\":800}\n",
             "{\"type\":\"counter\",\"ts_us\":4,\"name\":\"solver.phase.mpp.idle_suppressed\",\"value\":250}\n",
             "{\"type\":\"gauge\",\"ts_us\":5,\"name\":\"solver.phase.mpp.heuristic_ns\",\"value\":12345}\n",
             "{\"type\":\"counter\",\"ts_us\":6,\"name\":\"other.counter\",\"value\":1}\n",

@@ -72,19 +72,20 @@ echo "== hot-path perf guard (state-count ceiling on a fixed fixture) =="
 # settled-state count on this fixture is deterministic, so a ceiling —
 # not a wall-clock — catches pruning regressions even on a busy CI
 # host. Measured counts on grid_3x3 (k=2, r=3, g=2), OPT = 11, with
-# the deepest-first frontier:
-#   dominance+heuristic (default)      : 23,021 settled
-#   dominance off                      : 30,134
+# the deepest-first frontier and the critical-path heuristic term:
+#   dominance+heuristic (default)      : 13,946 settled
+#   dominance off                      : 18,012
 #   heuristic off                      : 80,303
 #   both off (SearchConfig::baseline)  : 187,589
-# The 25,000 ceiling passes the default config with ~9% headroom and
-# fails if the heuristic or dominance stops pruning.
+# The 15,300 ceiling passes the default config with ~10% headroom and
+# fails if the heuristic, its critical-path term or dominance stops
+# pruning.
 guard_trace=$(mktemp)
 trap 'rm -f "$guard_trace"' EXIT
 guard_opt=$(RBP_TRACE="$guard_trace" \
-    ./target/release/rbp solve tests/fixtures/grid_3x3.dag 2 3 2 --max-states 25000 \
+    ./target/release/rbp solve tests/fixtures/grid_3x3.dag 2 3 2 --max-states 15300 \
     | sed -n 's/^OPT = \([0-9]*\).*/\1/p') \
-    || { echo "perf guard failed: settled-state count exceeded 25000 (hot-path regression)"; exit 1; }
+    || { echo "perf guard failed: settled-state count exceeded 15300 (hot-path regression)"; exit 1; }
 [ "$guard_opt" = "11" ] \
     || { echo "perf guard failed: OPT=$guard_opt on grid_3x3, expected 11"; exit 1; }
 # The same run must emit phase counters and render them as a report
@@ -96,7 +97,7 @@ echo "$guard_report" | grep -q "solver.phase.mpp.idle_suppressed" \
     || { echo "perf guard failed: solver.phase.mpp.idle_suppressed counter missing"; exit 1; }
 trap - EXIT
 rm -f "$guard_trace"
-echo "perf guard: OPT=11 within the 25000-state ceiling, Hot path section rendered"
+echo "perf guard: OPT=11 within the 15300-state ceiling, Hot path section rendered"
 
 echo "== trace report smoke (fixture round trip) =="
 ./target/release/rbp report tests/fixtures/trace_small.jsonl | grep -q "| chain(4) | 2 | 2 |"
