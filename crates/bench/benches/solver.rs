@@ -124,21 +124,29 @@ fn main() {
         m.extra.add("emitted", emitted);
     }
 
-    // Send-path cost: one ring slot per state vs the driver's 8-state
-    // blocks, producer/consumer interleaved on one thread so the
-    // numbers are deterministic on any host. This walk exposes the
-    // *copy* side of the trade-off (batching moves more bytes per
-    // message: into the block, then the block through the ring) while
-    // `ring_ops` records the synchronization side it buys — 8x fewer
-    // atomic release/acquire pairs and shared-cache-line handoffs,
-    // which is where the win lives under real cross-core traffic. The
-    // checksum proves both transports deliver identical messages
-    // before either is timed.
+    // Send-path cost: one ring slot per state vs the driver's
+    // `BLOCK_CAP`-state blocks, over the driver's own `Msg` and ring
+    // sizes. The two single-thread rows interleave producer and consumer
+    // on one thread, so they are deterministic on any host: they expose
+    // the *copy* side of the trade-off (batching moves each message
+    // twice, into the block and then the block through the ring) while
+    // `ring_ops` records the synchronization side it buys — `BLOCK_CAP`x
+    // fewer atomic release/acquire pairs and shared-cache-line handoffs.
+    // The cross-thread row puts producer and consumer on two threads, so
+    // those handoffs really cross cores (on a single-core host it
+    // measures the OS scheduler). The checksums prove every transport
+    // delivers identical messages before any is timed.
     const MSGS: u64 = 200_000;
     const BCAP: u64 = rbp_core::ringbench::BLOCK_CAP as u64;
+    let want = rbp_core::ringbench::transfer_per_state(MSGS);
     assert_eq!(
-        rbp_core::ringbench::transfer_per_state(MSGS),
+        want,
         rbp_core::ringbench::transfer_batched(MSGS),
+        "transports must deliver identical payloads"
+    );
+    assert_eq!(
+        want,
+        rbp_core::ringbench::transfer_batched_cross_thread(MSGS),
         "transports must deliver identical payloads"
     );
     let m = b.run("ring/send_per_state_200k", || {
@@ -152,6 +160,13 @@ fn main() {
     m.extra.add("msgs", MSGS);
     m.extra.add("ring_ops", MSGS.div_ceil(BCAP));
     m.extra.add("block_cap", BCAP);
+    let m = b.run("ring/cross_thread_batched_200k", || {
+        rbp_core::ringbench::transfer_batched_cross_thread(MSGS)
+    });
+    m.extra.add("msgs", MSGS);
+    m.extra.add("ring_ops", MSGS.div_ceil(BCAP));
+    m.extra.add("block_cap", BCAP);
+    m.extra.add("threads", 2u64);
 
     b.finish();
 }

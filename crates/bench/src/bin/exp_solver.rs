@@ -39,11 +39,21 @@ struct Case {
     g: u64,
 }
 
-/// One parallel-engine run at a fixed thread count and partition mode.
+/// Repetitions of every `--threads 2` sweep point. On a host with at
+/// least two cores their median wall time is the figure that picks the
+/// default partition; `--threads 4` runs once.
+const T2_REPS: usize = 5;
+
+/// A parallel-engine measurement at a fixed thread count and partition
+/// mode: the median, min and max wall time over `reps` runs, and the
+/// counters of the last run.
 struct SweepPoint {
     threads: usize,
     partition: PartitionMode,
+    reps: usize,
     wall_ns: u64,
+    wall_ns_min: u64,
+    wall_ns_max: u64,
     stats: SearchStats,
 }
 
@@ -186,23 +196,33 @@ fn run_case(case: &Case, do_sweep: bool) -> Outcome {
     let mut sweep = Vec::new();
     let thread_counts: &[usize] = if do_sweep { &[2, 4] } else { &[] };
     for &threads in thread_counts {
+        let reps = if threads == 2 { T2_REPS } else { 1 };
         for partition in PartitionMode::ALL {
             let cfg = opt_cfg.with_threads(threads).with_partition(partition);
-            let t = Instant::now();
-            let par = solve_mpp_with(&inst, &cfg);
-            let wall_ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let p = par.solution.expect("parallel solved");
-            assert_eq!(
-                p.total, o.total,
-                "{} k={} r={} g={}: --threads {threads} --partition {partition} \
-                 changed the optimum",
-                case.family, case.k, case.r, case.g
-            );
+            let mut walls = Vec::with_capacity(reps);
+            let mut stats = SearchStats::default();
+            for _ in 0..reps {
+                let t = Instant::now();
+                let par = solve_mpp_with(&inst, &cfg);
+                walls.push(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                let p = par.solution.expect("parallel solved");
+                assert_eq!(
+                    p.total, o.total,
+                    "{} k={} r={} g={}: --threads {threads} --partition {partition} \
+                     changed the optimum",
+                    case.family, case.k, case.r, case.g
+                );
+                stats = par.stats;
+            }
+            walls.sort_unstable();
             sweep.push(SweepPoint {
                 threads,
                 partition,
-                wall_ns,
-                stats: par.stats,
+                reps,
+                wall_ns: walls[reps / 2],
+                wall_ns_min: walls[0],
+                wall_ns_max: walls[reps - 1],
+                stats,
             });
         }
     }
@@ -262,6 +282,8 @@ fn main() {
     let (mut k2_arena_bytes, mut k2_arena_states) = (0u64, 0u64);
     let mut k2_legacy_bytes = 0u64;
     let mut k2_thread_ns = [0u64; 2];
+    // Per-partition sums of the t=2 medians (indexed like PartitionMode::ALL).
+    let mut k2_t2_ns = [0u64; 3];
     // Per-partition t=4 traffic aggregates (indexed like PartitionMode::ALL).
     let mut k2_t4_sends = [0u64; 3];
     let mut k2_t4_settled = [0u64; 3];
@@ -321,6 +343,7 @@ fn main() {
                     *slot += o.point(threads, PartitionMode::Hash).wall_ns;
                 }
                 for (i, mode) in PartitionMode::ALL.into_iter().enumerate() {
+                    k2_t2_ns[i] += o.point(2, mode).wall_ns;
                     let p = o.point(4, mode);
                     k2_t4_sends[i] += p.stats.cross_sends;
                     k2_t4_settled[i] += p.stats.settled;
@@ -334,11 +357,13 @@ fn main() {
                 Json::obj(vec![
                     ("threads", Json::from(p.threads)),
                     ("partition", Json::from(p.partition.as_str())),
+                    ("reps", Json::from(p.reps)),
                     ("wall_ns", Json::from(p.wall_ns)),
+                    ("wall_ns_min", Json::from(p.wall_ns_min)),
+                    ("wall_ns_max", Json::from(p.wall_ns_max)),
                     ("settled", Json::from(p.stats.settled)),
                     ("cross_sends", Json::from(p.stats.cross_sends)),
                     ("send_blocks", Json::from(p.stats.send_blocks)),
-                    ("foreign_expansions", Json::from(p.stats.foreign_expansions)),
                     ("locality_fraction", Json::from(p.stats.locality_fraction())),
                     ("arena_peak_bytes", Json::from(p.stats.arena_peak_bytes)),
                 ])
@@ -395,6 +420,14 @@ fn main() {
                 hardware_threads
             );
         }
+        for (mode, ns) in PartitionMode::ALL.into_iter().zip(k2_t2_ns) {
+            println!(
+                "partition={mode} t=2: median wall {:.1} ms over {T2_REPS} runs \
+                 ({:.2}x vs opt t1)",
+                ns as f64 / 1e6,
+                k2_ns_opt as f64 / ns.max(1) as f64
+            );
+        }
         let hash_sps = sends_per_settled(0);
         for (i, mode) in PartitionMode::ALL.into_iter().enumerate() {
             println!(
@@ -411,6 +444,26 @@ fn main() {
         );
     }
 
+    let t2_aggregate: Vec<Json> = if sweep_valid {
+        PartitionMode::ALL
+            .into_iter()
+            .zip(k2_t2_ns)
+            .map(|(mode, ns)| {
+                Json::obj(vec![
+                    ("partition", Json::from(mode.as_str())),
+                    ("threads", Json::from(2u64)),
+                    ("reps", Json::from(T2_REPS)),
+                    ("wall_ns", Json::from(ns)),
+                    (
+                        "speedup_vs_t1",
+                        Json::from(k2_ns_opt as f64 / ns.max(1) as f64),
+                    ),
+                ])
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
     let (thread_aggregate, partition_aggregate): (Vec<Json>, Vec<Json>) = if sweep_valid {
         let hash_sps = sends_per_settled(0);
         (
@@ -470,6 +523,7 @@ fn main() {
                 ("legacy_bytes_per_state", Json::from(legacy_per_state)),
                 ("bytes_reduction", Json::from(bytes_reduction)),
                 ("threads", Json::Arr(thread_aggregate)),
+                ("partitions_t2", Json::Arr(t2_aggregate)),
                 ("partitions_t4", Json::Arr(partition_aggregate)),
             ]),
         ),

@@ -16,8 +16,8 @@
 //! or a structure-aware projection when the solver installs a
 //! [`crate::partition::Partition`]; each worker keeps a private arena +
 //! frontier for its shard and forwards successors it does not own over
-//! bounded SPSC rings, packed into fixed-capacity [`MsgBlock`]s that
-//! flush on fill or on local-frontier exhaustion. A shared atomic
+//! bounded SPSC rings, packed into [`BLOCK_CAP`]-message [`MsgBlock`]s
+//! that flush on fill or on local-frontier exhaustion. A shared atomic
 //! **incumbent** (best goal distance so far) prunes pushes and pops;
 //! goals are not expanded but recorded, and the search continues until
 //! global quiescence — at which point every frontier's minimum `f` is
@@ -30,14 +30,16 @@
 //! workers idle and `sent == received`" observed twice with no send in
 //! between implies no work exists anywhere.
 //!
-//! When a worker's frontier is empty but quiescence has not been
-//! reached, it **speculatively expands** the best foreign successor it
-//! buffered instead of spinning. Every speculative state was *also*
-//! delivered to its true owner, so the buffer never holds the only copy
-//! of any work item and can be ignored by the termination argument;
-//! duplicates reconcile through the ordinary arena g-value check, so
-//! optimality is untouched and the only cost is some duplicated
-//! expansion (counted per shard as `foreign_expansions` / `dup_msgs`).
+//! The hot path is priced per cross-shard message (about five per
+//! settled state under the hash partition), so it is kept lean: a send
+//! is one copy into the destination's out-buffer, a ring operation
+//! moves [`BLOCK_CAP`] messages, and every atomic that a worker writes
+//! often ([`Shared`]'s `settled` and block counters, each ring's `head`
+//! and `tail`) sits on a cache line of its own, away from the
+//! `incumbent` and `status` words that every worker reads on every
+//! pop. A worker whose frontier runs dry idles until work arrives; it
+//! does not expand other shards' states (measured: that bought no
+//! balance and cost a scan and a copy on every send).
 //!
 //! Resource limits are **global** at any thread count: a shared settled
 //! counter and the shared deadline abort every worker through a status
@@ -53,7 +55,7 @@ use crate::search::{
     phase_timing_enabled, Frontier, PackedMove, PhaseStats, SearchConfig, SearchStats, ShardStats,
     StopReason, MAX_THREADS,
 };
-use crate::spsc::Spsc;
+use crate::spsc::{CachePadded, Spsc};
 
 /// Lazily evaluated admissible bound for an emitted successor: `None`
 /// marks the state provably dead. See [`Domain::expand`].
@@ -314,15 +316,17 @@ fn reconstruct_path<D: Domain>(
 
 /// Frontier pops per worker iteration between inbox drains.
 const POP_BATCH: usize = 32;
-/// Capacity of each cross-shard SPSC ring (blocks; times
-/// [`BLOCK_CAP`] messages).
-const CHAN_CAP: usize = 1 << 7;
-/// Messages per ring block: a full block spans eight cache lines, so
-/// the per-slot atomic hand-off cost is amortized over eight states.
-const BLOCK_CAP: usize = 8;
-/// Per-worker cap on buffered foreign states eligible for speculative
-/// expansion. Small: it is a starvation stopgap, not a second frontier.
-const SPEC_CAP: usize = 64;
+/// Capacity of each cross-shard SPSC ring in blocks: with
+/// [`BLOCK_CAP`] messages per block a ring holds 1,024 messages, about
+/// 74 KB, which bounds ring memory at 4,096 rings for
+/// [`MAX_THREADS`] = 64.
+pub(crate) const CHAN_CAP: usize = 1 << 5;
+/// Messages per ring block. One ring push and one pop (two atomic
+/// hand-offs of a contended line, plus the `sent`/`received` counter
+/// updates) are amortized over this many states.
+pub(crate) const BLOCK_CAP: usize = 32;
+
+const _: () = assert!(CHAN_CAP * BLOCK_CAP == 1 << 10);
 
 const STATUS_RUNNING: u64 = 0;
 const STATUS_DONE: u64 = 1;
@@ -333,11 +337,11 @@ const STATUS_DEADLINE: u64 = 3;
 /// relaxation. `Copy`, fixed-size, so the SPSC ring can move it by
 /// bitwise read.
 #[derive(Clone, Copy)]
-struct Msg {
-    words: [u64; MAX_KEY_WORDS],
-    dist: u64,
-    parent: u64,
-    mv: PackedMove,
+pub(crate) struct Msg {
+    pub(crate) words: [u64; MAX_KEY_WORDS],
+    pub(crate) dist: u64,
+    pub(crate) parent: u64,
+    pub(crate) mv: PackedMove,
 }
 
 const EMPTY_MSG: Msg = Msg {
@@ -351,47 +355,62 @@ const EMPTY_MSG: Msg = Msg {
 /// blocks in per-destination out-buffers and flush on fill or frontier
 /// exhaustion, so the quiescence counters count blocks, not messages.
 #[derive(Clone, Copy)]
-struct MsgBlock {
-    len: u32,
-    msgs: [Msg; BLOCK_CAP],
+pub(crate) struct MsgBlock {
+    pub(crate) len: u32,
+    pub(crate) msgs: [Msg; BLOCK_CAP],
 }
 
-const EMPTY_BLOCK: MsgBlock = MsgBlock {
+pub(crate) const EMPTY_BLOCK: MsgBlock = MsgBlock {
     len: 0,
     msgs: [EMPTY_MSG; BLOCK_CAP],
 };
 
-/// State shared by every worker of one parallel solve.
+/// State shared by every worker of one parallel solve, laid out by
+/// access pattern. The first line holds the words every worker reads
+/// on every pop and every emitted successor but that rarely change
+/// (`incumbent`, `status`), plus the rarely touched `idle` mask and
+/// `goal` lock. `settled`, written on every settled state, and the
+/// block counters, written once per block, each get a cache line of
+/// their own so their writes never invalidate the read-mostly line.
+#[repr(C)]
 struct Shared {
     /// Best goal distance found so far (`u64::MAX` until the first
     /// goal); updated only under the `goal` lock, so it decreases
     /// monotonically.
     incumbent: AtomicU64,
+    /// `STATUS_*` word; leaves `STATUS_RUNNING` exactly once.
+    status: AtomicU64,
+    /// Bitmask of workers currently idle.
+    idle: AtomicU64,
     /// `(dist, gid)` of the best goal state.
     goal: Mutex<Option<(u64, u64)>>,
     /// Global settled-state counter (the `max_states` budget).
-    settled: AtomicU64,
+    settled: CachePadded<AtomicU64>,
+    /// Quiescence counters.
+    blocks: CachePadded<BlockCounters>,
+}
+
+/// The monotone block counters of the quiescence check.
+struct BlockCounters {
     /// Blocks pushed to any ring (incremented *before* the push).
     sent: AtomicU64,
     /// Blocks fully processed (incremented *after* every message in the
     /// block has been relaxed).
     received: AtomicU64,
-    /// Bitmask of workers currently idle.
-    idle: AtomicU64,
-    /// `STATUS_*` word; leaves `STATUS_RUNNING` exactly once.
-    status: AtomicU64,
 }
 
 impl Shared {
     fn new() -> Self {
         Shared {
             incumbent: AtomicU64::new(u64::MAX),
-            goal: Mutex::new(None),
-            settled: AtomicU64::new(0),
-            sent: AtomicU64::new(0),
-            received: AtomicU64::new(0),
-            idle: AtomicU64::new(0),
             status: AtomicU64::new(STATUS_RUNNING),
+            idle: AtomicU64::new(0),
+            goal: Mutex::new(None),
+            settled: CachePadded(AtomicU64::new(0)),
+            blocks: CachePadded(BlockCounters {
+                sent: AtomicU64::new(0),
+                received: AtomicU64::new(0),
+            }),
         }
     }
 
@@ -416,6 +435,11 @@ struct WorkerResult {
     phases: PhaseStats,
 }
 
+/// One shard's search: a private arena and frontier, the out-buffers
+/// of its ring row, and plain (unshared) counters that become its
+/// [`ShardStats`]. It settles only states it owns; every successor it
+/// does not own is copied into `out[owner]` and shipped when that block
+/// fills or the frontier runs dry.
 struct Worker<'a, D: Domain> {
     me: usize,
     threads: usize,
@@ -437,9 +461,6 @@ struct Worker<'a, D: Domain> {
     /// Per-destination out-buffers; `out[to]` fills until [`BLOCK_CAP`]
     /// then flushes into the ring (`out[me]` stays unused).
     out: Vec<MsgBlock>,
-    /// Bounded stash of foreign successors for speculative expansion
-    /// (every entry was *also* sent to its owner).
-    spec: Vec<Msg>,
     settled: u64,
     pushed: u64,
     stale: u64,
@@ -448,7 +469,6 @@ struct Worker<'a, D: Domain> {
     local_succs: u64,
     received: u64,
     dup_msgs: u64,
-    foreign_expansions: u64,
     frontier_peak: u64,
 }
 
@@ -456,10 +476,10 @@ impl<'a, D: Domain> Worker<'a, D> {
     /// Relaxes an owned state given its packed words and hash; enqueues
     /// it when the distance improved, the heuristic finds it alive, and
     /// its `f` still beats the incumbent. Returns whether the distance
-    /// was created or improved. Used for states arriving over channels
-    /// or the speculation stash, where no parent heuristic context
-    /// exists — the bound is evaluated from scratch (and lazily, only
-    /// on improvement). Runs outside `expand`, so it is deliberately
+    /// was created or improved. Used for states arriving over channels,
+    /// where no parent heuristic context exists — the bound is
+    /// evaluated from scratch (and lazily, only on improvement). Runs
+    /// outside `expand`, so it is deliberately
     /// untimed: the phase profile accounts the expansion path.
     #[inline]
     fn relax_owned(
@@ -543,7 +563,7 @@ impl<'a, D: Domain> Worker<'a, D> {
                     }
                     self.received += 1;
                 }
-                self.shared.received.fetch_add(1, Ordering::SeqCst);
+                self.shared.blocks.received.fetch_add(1, Ordering::SeqCst);
                 any = true;
             }
         }
@@ -557,10 +577,10 @@ impl<'a, D: Domain> Worker<'a, D> {
     }
 
     /// Buffers a successor for its owning shard, flushing the block
-    /// when full, and stashes a copy for speculative expansion.
+    /// when full.
+    #[inline]
     fn buffer_send(&mut self, to: usize, msg: Msg) {
         self.sent += 1;
-        self.spec_offer(msg);
         let blk = &mut self.out[to];
         blk.msgs[blk.len as usize] = msg;
         blk.len += 1;
@@ -576,9 +596,12 @@ impl<'a, D: Domain> Worker<'a, D> {
         if self.out[to].len == 0 {
             return;
         }
-        let blk = std::mem::replace(&mut self.out[to], EMPTY_BLOCK);
+        // Slots past `len` are never read, so emptying the buffer only
+        // resets its length.
+        let blk = self.out[to];
+        self.out[to].len = 0;
         self.send_blocks += 1;
-        self.shared.sent.fetch_add(1, Ordering::SeqCst);
+        self.shared.blocks.sent.fetch_add(1, Ordering::SeqCst);
         loop {
             if self.chans[self.me * self.threads + to].try_push(blk) {
                 return;
@@ -602,55 +625,6 @@ impl<'a, D: Domain> Worker<'a, D> {
                 self.flush(to);
             }
         }
-    }
-
-    /// Stashes a foreign successor for possible speculative expansion,
-    /// keeping the `SPEC_CAP` best (lowest-distance) entries.
-    fn spec_offer(&mut self, msg: Msg) {
-        if msg.dist >= self.shared.incumbent.load(Ordering::Relaxed) {
-            return;
-        }
-        if self.spec.len() < SPEC_CAP {
-            self.spec.push(msg);
-            return;
-        }
-        let (worst, wd) = self
-            .spec
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (i, m.dist))
-            .max_by_key(|&(_, d)| d)
-            .expect("spec buffer non-empty at cap");
-        if msg.dist < wd {
-            self.spec[worst] = msg;
-        }
-    }
-
-    /// Speculatively expands buffered foreign work: promotes the
-    /// best-distance stashed state into the local arena and frontier.
-    /// Returns `true` when something was promoted (the main loop should
-    /// go back to popping). Safe to drain to empty before idling —
-    /// every entry was also delivered to its owner.
-    fn promote_spec(&mut self) -> bool {
-        while !self.spec.is_empty() {
-            let best = self
-                .spec
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, m)| m.dist)
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            let m = self.spec.swap_remove(best);
-            if m.dist >= self.shared.incumbent.load(Ordering::Relaxed) {
-                continue;
-            }
-            let h = hash_words(&m.words[..self.kw]);
-            if self.relax_owned(&m.words[..self.kw], h, m.dist, m.parent, m.mv) {
-                self.foreign_expansions += 1;
-                return true;
-            }
-        }
-        false
     }
 
     /// Records a popped goal state, lowering the shared incumbent.
@@ -685,10 +659,10 @@ impl<'a, D: Domain> Worker<'a, D> {
             // Double-read quiescence check: no message can be in flight
             // between two observations of equal monotone counters with
             // every worker idle throughout.
-            let s1 = self.shared.sent.load(Ordering::SeqCst);
-            let r1 = self.shared.received.load(Ordering::SeqCst);
+            let s1 = self.shared.blocks.sent.load(Ordering::SeqCst);
+            let r1 = self.shared.blocks.received.load(Ordering::SeqCst);
             if s1 == r1 && self.shared.idle.load(Ordering::SeqCst) == full_mask {
-                let s2 = self.shared.sent.load(Ordering::SeqCst);
+                let s2 = self.shared.blocks.sent.load(Ordering::SeqCst);
                 if s2 == s1 && self.shared.idle.load(Ordering::SeqCst) == full_mask {
                     self.shared.abort(STATUS_DONE);
                     return true;
@@ -787,10 +761,9 @@ impl<'a, D: Domain> Worker<'a, D> {
             if !progress {
                 // Local frontier exhausted: ship partial blocks so no
                 // work hides in an out-buffer, then look for incoming
-                // work, then fall back to speculative expansion before
-                // attempting quiescence.
+                // work before attempting quiescence.
                 self.flush_all();
-                if self.drain_inboxes() || self.promote_spec() {
+                if self.drain_inboxes() {
                     continue;
                 }
                 if self.idle_protocol() {
@@ -810,7 +783,6 @@ impl<'a, D: Domain> Worker<'a, D> {
                 local_succs: self.local_succs,
                 received: self.received,
                 dup_msgs: self.dup_msgs,
-                foreign_expansions: self.foreign_expansions,
                 arena_states: self.arena.len() as u64,
                 arena_bytes: self.arena.bytes(),
             },
@@ -877,7 +849,6 @@ fn parallel<D: Domain>(domain: &D, config: &SearchConfig, threads: usize) -> Dri
                         phases: PhaseStats::default(),
                         expand_ns: 0,
                         out: vec![EMPTY_BLOCK; threads],
-                        spec: Vec::with_capacity(SPEC_CAP),
                         settled: 0,
                         pushed: 0,
                         stale: 0,
@@ -886,7 +857,6 @@ fn parallel<D: Domain>(domain: &D, config: &SearchConfig, threads: usize) -> Dri
                         local_succs: 0,
                         received: 0,
                         dup_msgs: 0,
-                        foreign_expansions: 0,
                         frontier_peak: 0,
                     };
                     if me == root_owner {
@@ -920,7 +890,6 @@ fn parallel<D: Domain>(domain: &D, config: &SearchConfig, threads: usize) -> Dri
         stats.cross_sends += r.shard.sent;
         stats.send_blocks += r.shard.send_blocks;
         stats.local_succs += r.shard.local_succs;
-        stats.foreign_expansions += r.shard.foreign_expansions;
         stats.arena_states += r.shard.arena_states;
         stats.arena_peak_bytes += r.shard.arena_bytes;
         shards.push(r.shard);
@@ -945,5 +914,32 @@ fn parallel<D: Domain>(domain: &D, config: &SearchConfig, threads: usize) -> Dri
                 DriverOutcome::stopped(stats, shards, StopReason::Exhausted, phases)
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::offset_of;
+
+    #[test]
+    fn contended_counters_sit_on_their_own_cache_lines() {
+        let incumbent = offset_of!(Shared, incumbent);
+        let settled = offset_of!(Shared, settled);
+        let blocks = offset_of!(Shared, blocks);
+        let sent = blocks + offset_of!(BlockCounters, sent);
+        let received = blocks + offset_of!(BlockCounters, received);
+        for (a, b) in [(incumbent, settled), (incumbent, sent), (settled, sent)] {
+            assert!(a.abs_diff(b) >= 128, "fields at {a} and {b}");
+        }
+        // `status` shares the read-mostly line with `incumbent`. `Shared`
+        // is 128-byte aligned, so two fields share no 128-byte line
+        // exactly when `offset / 128` differs.
+        assert_eq!(std::mem::align_of::<Shared>(), 128);
+        let line = |offset: usize| offset / 128;
+        assert_eq!(line(offset_of!(Shared, status)), line(incumbent));
+        assert_eq!(line(received), line(sent));
+        assert_ne!(line(received), line(settled));
+        assert_ne!(line(received), line(incumbent));
     }
 }

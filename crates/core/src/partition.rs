@@ -127,9 +127,8 @@ impl Partition {
             PartitionMode::Anchors => {
                 // ceil(log2(shards)) anchors give exactly `shards`
                 // projection cells when shards is a power of two; more
-                // anchors would split stores across shards more often
-                // (worse locality) for balance the speculative expander
-                // already provides.
+                // anchors would buy balance by splitting stores across
+                // shards more often (worse locality).
                 let want = usize::BITS - (shards.max(2) - 1).leading_zeros();
                 let want = (want as usize).clamp(1, 6);
                 p.anchors = rbp_dag::analysis::anchor_nodes(dag, want)

@@ -1,56 +1,48 @@
 //! Benchmark hooks for the cross-shard send path (internal).
 //!
-//! `rbp-bench` times the two message-transport shapes the parallel
-//! solver has used — one ring slot per state vs. [`BLOCK_CAP`]-state
-//! blocks — without reaching into the private driver internals. The
-//! payload mirrors the driver's `Msg` exactly (packed key words +
-//! relaxation fields), so the measured per-state hand-off cost is the
-//! real one. Producer and consumer run *interleaved on the calling
-//! thread* (push until full, drain until empty): a two-thread transfer
-//! on a time-sliced single-core host measures the OS scheduler, not
-//! the transport, while the interleaved walk isolates exactly what
-//! batching changes — ring atomics and slot copies per message — and
-//! is deterministic across hosts. Hidden from docs: this is not part
-//! of the public API and may change with the driver.
+//! `rbp-bench` times the message-transport shapes the parallel solver
+//! has used — one ring slot per state vs. [`BLOCK_CAP`]-state blocks —
+//! without reaching into the private driver internals. The payload,
+//! block and ring sizes are the driver's own (`Msg`, `MsgBlock`,
+//! `BLOCK_CAP`, `CHAN_CAP`), so the measured per-state hand-off cost is
+//! the real one and cannot drift from it. The single-thread walks run
+//! producer and consumer *interleaved on the calling thread* (push
+//! until full, drain until empty), which isolates what batching changes
+//! per message — ring atomics and slot copies — and is deterministic
+//! across hosts. [`transfer_batched_cross_thread`] runs them on two
+//! threads, so the ring's cache lines really move between cores; on a
+//! single-core host it measures the OS scheduler instead. Hidden from
+//! docs: this is not part of the public API and may change with the
+//! driver.
 
+use crate::driver::{Msg, MsgBlock, CHAN_CAP, EMPTY_BLOCK};
 use crate::spsc::Spsc;
 
-/// Messages per block, kept in sync with the driver's batching factor.
-pub const BLOCK_CAP: usize = 8;
+/// Messages per block: the driver's own batching factor.
+pub const BLOCK_CAP: usize = crate::driver::BLOCK_CAP;
 
-/// Same shape as the driver's cross-shard message.
-#[derive(Clone, Copy)]
-pub struct BenchMsg {
-    /// Packed key words.
-    pub words: [u64; 5],
-    /// Tentative distance.
-    pub dist: u64,
-    /// Parent global id.
-    pub parent: u64,
-    /// Packed move.
-    pub mv: u32,
-}
-
-/// A block of [`BenchMsg`]s, same shape as the driver's ring slot.
-#[derive(Clone, Copy)]
-pub struct BenchBlock {
-    /// Valid prefix length of `msgs`.
-    pub len: u32,
-    /// The batched messages.
-    pub msgs: [BenchMsg; BLOCK_CAP],
-}
-
-fn msg(i: u64) -> BenchMsg {
-    BenchMsg {
-        words: [i, i ^ 0xdead_beef, i.rotate_left(17), !i, i.wrapping_mul(3)],
+fn msg(i: u64) -> Msg {
+    Msg {
+        words: [
+            i,
+            i ^ 0xdead_beef,
+            i.rotate_left(17),
+            !i,
+            i.wrapping_mul(3),
+            i.rotate_right(9),
+        ],
         dist: i & 0xffff,
         parent: i,
         mv: i as u32,
     }
 }
 
-fn fold(sum: u64, m: &BenchMsg) -> u64 {
+fn fold(sum: u64, m: &Msg) -> u64 {
     sum.wrapping_add(m.dist).wrapping_add(m.words[0])
+}
+
+fn fold_block(sum: u64, b: &MsgBlock) -> u64 {
+    b.msgs[..b.len as usize].iter().fold(sum, fold)
 }
 
 /// Transfers `count` messages through a ring one slot per state (the
@@ -58,7 +50,7 @@ fn fold(sum: u64, m: &BenchMsg) -> u64 {
 /// calling thread, and returns a checksum of the received payloads.
 #[must_use]
 pub fn transfer_per_state(count: u64) -> u64 {
-    let ring: Spsc<BenchMsg> = Spsc::new(1 << 10);
+    let ring: Spsc<Msg> = Spsc::new(CHAN_CAP * BLOCK_CAP);
     let mut sum = 0u64;
     let (mut sent, mut got) = (0u64, 0u64);
     while got < count {
@@ -78,13 +70,10 @@ pub fn transfer_per_state(count: u64) -> u64 {
 /// checksum as [`transfer_per_state`].
 #[must_use]
 pub fn transfer_batched(count: u64) -> u64 {
-    let ring: Spsc<BenchBlock> = Spsc::new(1 << 7);
+    let ring: Spsc<MsgBlock> = Spsc::new(CHAN_CAP);
     let mut sum = 0u64;
     let (mut sent, mut got) = (0u64, 0u64);
-    let mut blk = BenchBlock {
-        len: 0,
-        msgs: [msg(0); BLOCK_CAP],
-    };
+    let mut blk = EMPTY_BLOCK;
     while got < count {
         while sent < count {
             blk.msgs[blk.len as usize] = msg(sent);
@@ -103,13 +92,45 @@ pub fn transfer_batched(count: u64) -> u64 {
             }
         }
         while let Some(b) = ring.try_pop() {
-            for m in &b.msgs[..b.len as usize] {
-                sum = fold(sum, m);
-            }
+            sum = fold_block(sum, &b);
             got += u64::from(b.len);
         }
     }
     sum
+}
+
+/// [`transfer_batched`] with the producer and the consumer on two
+/// threads, each spinning while the ring is full or empty; returns the
+/// same checksum.
+#[must_use]
+pub fn transfer_batched_cross_thread(count: u64) -> u64 {
+    let ring: Spsc<MsgBlock> = Spsc::new(CHAN_CAP);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut blk = EMPTY_BLOCK;
+            for i in 0..count {
+                blk.msgs[blk.len as usize] = msg(i);
+                blk.len += 1;
+                if blk.len as usize == BLOCK_CAP || i + 1 == count {
+                    while !ring.try_push(blk) {
+                        std::hint::spin_loop();
+                    }
+                    blk.len = 0;
+                }
+            }
+        });
+        let (mut sum, mut got) = (0u64, 0u64);
+        while got < count {
+            match ring.try_pop() {
+                Some(b) => {
+                    sum = fold_block(sum, &b);
+                    got += u64::from(b.len);
+                }
+                None => std::hint::spin_loop(),
+            }
+        }
+        sum
+    })
 }
 
 #[cfg(test)]
@@ -118,12 +139,10 @@ mod tests {
 
     #[test]
     fn both_paths_deliver_identical_payloads() {
-        for count in [1u64, 7, 8, 9, 1000, 100_000] {
-            assert_eq!(
-                transfer_per_state(count),
-                transfer_batched(count),
-                "count={count}"
-            );
+        for count in [1u64, 7, 8, 9, 31, 32, 33, 1000, 100_000] {
+            let want = transfer_per_state(count);
+            assert_eq!(want, transfer_batched(count), "count={count}");
+            assert_eq!(want, transfer_batched_cross_thread(count), "count={count}");
         }
     }
 }

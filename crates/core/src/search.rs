@@ -254,8 +254,12 @@ pub struct SearchStats {
     /// Successors kept on the shard that generated them (the locality
     /// the partition bought; zero in the sequential engine).
     pub local_succs: u64,
-    /// Foreign states expanded speculatively by an otherwise-starving
-    /// shard (work stealing by duplication; never affects optimality).
+    /// Always zero. The sharded driver once expanded other shards'
+    /// states speculatively while its own frontier was empty; that was
+    /// measured to buy no balance and deleted. The field stays so that
+    /// external readers of these counters (such as the repository
+    /// benchmark's `driver.foreign_expansions` figure) keep compiling
+    /// and read the honest value.
     pub foreign_expansions: u64,
     /// Worker threads the solve actually used.
     pub threads: u64,
@@ -317,10 +321,6 @@ impl SearchStats {
         );
         rbp_trace::counter(&format!("solver.{which}.cross_sends"), self.cross_sends);
         rbp_trace::counter(&format!("solver.{which}.send_blocks"), self.send_blocks);
-        rbp_trace::counter(
-            &format!("solver.{which}.foreign_expansions"),
-            self.foreign_expansions,
-        );
         rbp_trace::gauge(
             &format!("solver.{which}.locality_fraction"),
             self.locality_fraction(),
@@ -357,12 +357,9 @@ pub struct ShardStats {
     /// Messages this shard received from other shards.
     pub received: u64,
     /// Received messages that did not improve any distance (duplicates
-    /// of work already done, e.g. re-deliveries of speculatively
-    /// expanded states).
+    /// of work already done, e.g. the same state reached from two
+    /// shards).
     pub dup_msgs: u64,
-    /// Foreign states this shard expanded speculatively while its own
-    /// frontier was empty.
-    pub foreign_expansions: u64,
     /// Distinct states interned into this shard's arena.
     pub arena_states: u64,
     /// Bytes held by this shard's arena (keys + metadata + table).
@@ -394,8 +391,8 @@ impl ShardStats {
 }
 
 /// Emits per-shard counters as `solver.<which>.shard<i>.{settled,
-/// pushed,sent,send_blocks,foreign_expansions,locality_fraction,
-/// duplicate_rate,arena_bytes}` trace gauges. No-op while tracing is
+/// pushed,sent,send_blocks,locality_fraction,duplicate_rate,
+/// arena_bytes}` trace gauges. No-op while tracing is
 /// disabled or for sequential solves (empty slice).
 pub(crate) fn trace_shards(which: &str, shards: &[ShardStats]) {
     if !rbp_trace::enabled() {
@@ -412,10 +409,6 @@ pub(crate) fn trace_shards(which: &str, shards: &[ShardStats]) {
         rbp_trace::gauge(
             &format!("solver.{which}.shard{i}.send_blocks"),
             s.send_blocks as f64,
-        );
-        rbp_trace::gauge(
-            &format!("solver.{which}.shard{i}.foreign_expansions"),
-            s.foreign_expansions as f64,
         );
         rbp_trace::gauge(
             &format!("solver.{which}.shard{i}.locality_fraction"),

@@ -99,6 +99,20 @@ trap - EXIT
 rm -f "$guard_trace"
 echo "perf guard: OPT=11 within the 15300-state ceiling, Hot path section rendered"
 
+echo "== sharded perf guard (threads=2, state-count ceiling on the same fixture) =="
+# The sharded driver's settled count varies with the interleaving: 40
+# runs of this command on a 2-core x86 host settled 12,003-13,997
+# states (median 12,224; the sequential run above settles 13,946).
+# The 20,000 ceiling leaves room for that spread and fails if sharding
+# starts settling far more states than the sequential engine.
+par_guard_opt=$(./target/release/rbp solve tests/fixtures/grid_3x3.dag 2 3 2 \
+    --threads 2 --max-states 20000 \
+    | sed -n 's/^OPT = \([0-9]*\).*/\1/p') \
+    || { echo "sharded perf guard failed: settled-state count exceeded 20000"; exit 1; }
+[ "$par_guard_opt" = "11" ] \
+    || { echo "sharded perf guard failed: OPT=$par_guard_opt at threads=2, expected 11"; exit 1; }
+echo "sharded perf guard: OPT=11 at threads=2 within the 20000-state ceiling"
+
 echo "== trace report smoke (fixture round trip) =="
 ./target/release/rbp report tests/fixtures/trace_small.jsonl | grep -q "| chain(4) | 2 | 2 |"
 serve_report=$(./target/release/rbp report tests/fixtures/trace_serve.jsonl)

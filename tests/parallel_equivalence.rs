@@ -19,7 +19,7 @@ use std::time::Duration;
 use rbp::core::rbp_dag::generators;
 use rbp::core::{
     solve_mpp_with, solve_spp_with, CostModel, MppInstance, PartitionMode, SearchConfig,
-    SolveLimits, SppInstance, SppVariant, StopReason,
+    SearchStats, ShardStats, SolveLimits, SppInstance, SppVariant, StopReason,
 };
 use rbp::util::Rng;
 
@@ -34,6 +34,31 @@ fn rotate_mode(case: u64, threads: usize) -> PartitionMode {
 
 fn sequential_cfg() -> SearchConfig {
     SearchConfig::default().with_limits(SolveLimits::states(400_000))
+}
+
+/// The per-shard traffic rows add up to the aggregate counters, and on
+/// a solved run every message a shard sent was received by its owner
+/// before quiescence was declared.
+fn assert_shard_traffic(ctx: &str, stats: &SearchStats, shards: &[ShardStats], reason: StopReason) {
+    let sum = |f: fn(&ShardStats) -> u64| shards.iter().map(f).sum::<u64>();
+    assert_eq!(sum(|s| s.sent), stats.cross_sends, "{ctx}: cross_sends");
+    assert_eq!(
+        sum(|s| s.send_blocks),
+        stats.send_blocks,
+        "{ctx}: send_blocks"
+    );
+    assert_eq!(
+        sum(|s| s.local_succs),
+        stats.local_succs,
+        "{ctx}: local_succs"
+    );
+    if reason == StopReason::Solved {
+        assert_eq!(
+            sum(|s| s.sent),
+            sum(|s| s.received),
+            "{ctx}: messages in flight at quiescence"
+        );
+    }
 }
 
 /// 60 random MPP instances × thread counts {2, 4, 8}: the parallel
@@ -83,6 +108,12 @@ fn mpp_parallel_matches_sequential_on_random_dags() {
                 shard_settled, par.stats.settled,
                 "{ctx}: shard settled sums to the aggregate"
             );
+            assert_shard_traffic(
+                &format!("{ctx}: t={threads} {mode}"),
+                &par.stats,
+                &par.shards,
+                par.reason,
+            );
         }
     }
 }
@@ -120,6 +151,12 @@ fn spp_parallel_matches_sequential_across_variants() {
         for threads in THREAD_COUNTS {
             let mode = rotate_mode(case, threads);
             let par = solve_spp_with(&inst, &seq_cfg.with_threads(threads).with_partition(mode));
+            assert_shard_traffic(
+                &format!("{ctx}: t={threads} {mode}"),
+                &par.stats,
+                &par.shards,
+                par.reason,
+            );
             match (&seq.solution, par.solution) {
                 (None, None) => {
                     assert!(variant.one_shot, "{ctx}: only one-shot can be unsolvable");
@@ -150,9 +187,8 @@ fn spp_parallel_matches_sequential_across_variants() {
 
 /// Exhaustive modes × thread-counts sweep on fixed instances: every
 /// partition strategy proves the identical optimum with a validating
-/// witness, reports sane traffic stats (fractions in range, shard rows
-/// summing to the aggregate), and the speculative expander never
-/// invents settled work the counters don't account for.
+/// witness, and reports sane traffic stats (fractions in range, shard
+/// rows summing to the aggregate, nothing left in flight).
 #[test]
 fn all_partition_modes_prove_identical_optima() {
     let cfg = sequential_cfg();
@@ -193,10 +229,12 @@ fn all_partition_modes_prove_identical_optima() {
                         "{ctx}: {mode} t={threads} shard{i} duplicate_rate {dr}"
                     );
                 }
-                let foreign: u64 = par.shards.iter().map(|s| s.foreign_expansions).sum();
-                assert_eq!(
-                    foreign, par.stats.foreign_expansions,
-                    "{ctx}: {mode} t={threads} foreign_expansions aggregate"
+                assert_eq!(par.reason, StopReason::Solved, "{ctx}: {mode} t={threads}");
+                assert_shard_traffic(
+                    &format!("{ctx}: {mode} t={threads}"),
+                    &par.stats,
+                    &par.shards,
+                    par.reason,
                 );
             }
         }
