@@ -124,6 +124,37 @@ fn main() {
         m.extra.add("emitted", emitted);
     }
 
+    // Relax-path cost: 64k successors relaxed into an arena of 1M
+    // states (about 40 MB, so lookups miss the caches), one at a time
+    // vs in per-expansion batches prefetched before the first relax.
+    // Both rows relax the same duplicates through the arena's own code
+    // and must return the same checksum.
+    const ARENA_STATES: usize = 1_000_000;
+    const SUCCS: usize = 64_000;
+    let mut relax = rbp_core::arenabench::RelaxBench::new(ARENA_STATES, SUCCS, KSEED);
+    assert_eq!(
+        relax.relax_inline(),
+        relax.relax_batched(),
+        "relax paths must agree"
+    );
+    for (label, batched) in [
+        ("solver_kernel/relax_inline_64k", false),
+        ("solver_kernel/relax_batched_64k", true),
+    ] {
+        let m = b.run(label, || {
+            if batched {
+                relax.relax_batched()
+            } else {
+                relax.relax_inline()
+            }
+        });
+        m.extra.add("succs", SUCCS as u64);
+        m.extra.add("arena_states", ARENA_STATES as u64);
+        if batched {
+            m.extra.add("batch", rbp_core::arenabench::BATCH as u64);
+        }
+    }
+
     // Send-path cost: one ring slot per state vs the driver's
     // `BLOCK_CAP`-state blocks, over the driver's own `Msg` and ring
     // sizes. The two single-thread rows interleave producer and consumer

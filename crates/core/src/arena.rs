@@ -132,6 +132,22 @@ pub fn unpack_fields(words: &[u64], bits: usize, fields: &mut [u64]) {
     }
 }
 
+/// Hints the CPU to pull the cache line holding `*p` into L1.
+#[inline(always)]
+fn prefetch_read<T>(p: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` is an SSE instruction, part of the x86_64
+    // baseline. It only hints the cache: it never faults, even on an
+    // unmapped address, and changes no memory the program can observe,
+    // so a line made stale by a later `grow` is merely wasted.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((p as *const T).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 /// Interning arena: packed key words + metadata + index table.
 #[derive(Debug)]
 pub(crate) struct StateArena {
@@ -230,6 +246,30 @@ impl StateArena {
         }
     }
 
+    /// Prefetches what relaxing each key of a batch will read, given the
+    /// keys' hashes: first every home table slot, then — once those
+    /// lines are on their way — the key words and metadata of the state
+    /// each home slot names. A lookup makes three dependent random reads
+    /// (slot, key, metadata); issuing them for the whole batch before
+    /// the first [`StateArena::relax`] overlaps the cache misses of
+    /// different keys instead of paying them one after another. Only the
+    /// home slot is prefetched: at load factor 1/2 a probe chain rarely
+    /// leaves its first line. Changes nothing the relax observes; a
+    /// `grow` partway through the batch only wastes the prefetches.
+    #[inline]
+    pub fn prefetch(&self, hashes: impl Iterator<Item = u64> + Clone) {
+        for h in hashes.clone() {
+            prefetch_read(&self.table[h as usize & self.mask]);
+        }
+        for h in hashes {
+            let e = self.table[h as usize & self.mask];
+            if e != EMPTY {
+                prefetch_read(&self.words[e as usize * self.kw]);
+                prefetch_read(&self.meta[e as usize]);
+            }
+        }
+    }
+
     /// Doubles the table, rehashing every interned key.
     fn grow(&mut self) {
         let ncap = self.table.len() * 2;
@@ -319,5 +359,115 @@ mod tests {
             assert_eq!(a.key_words(i as u32), &[i, i ^ 0xdead]);
         }
         assert!(a.bytes() > 0);
+    }
+
+    /// Relaxes a batch the way both drivers do: hash every key, prefetch
+    /// the whole batch, then relax in order. `keys` holds `kw` words per
+    /// entry; entry `i` relaxes at distance `dists[i]` with move `i`.
+    fn relax_batch(a: &mut StateArena, keys: &[u64], dists: &[u64]) -> Vec<(u32, bool)> {
+        let kw = a.kw;
+        let hashes: Vec<u64> = keys.chunks(kw).map(hash_words).collect();
+        a.prefetch(hashes.iter().copied());
+        keys.chunks(kw)
+            .zip(&hashes)
+            .zip(dists)
+            .enumerate()
+            .map(|(i, ((key, &h), &d))| a.relax(key, h, d, gid(0, 1), i as PackedMove))
+            .collect()
+    }
+
+    /// The same entries relaxed one key at a time, as the drivers did
+    /// before batching.
+    fn relax_each(a: &mut StateArena, keys: &[u64], dists: &[u64]) -> Vec<(u32, bool)> {
+        let kw = a.kw;
+        keys.chunks(kw)
+            .zip(dists)
+            .enumerate()
+            .map(|(i, (key, &d))| a.relax(key, hash_words(key), d, gid(0, 1), i as PackedMove))
+            .collect()
+    }
+
+    fn assert_same_arena(a: &StateArena, b: &StateArena) {
+        assert_eq!(a.len(), b.len());
+        for idx in 0..a.len() as u32 {
+            assert_eq!(a.key_words(idx), b.key_words(idx));
+            let (ma, mb) = (a.meta(idx), b.meta(idx));
+            assert_eq!((ma.dist, ma.parent, ma.mv), (mb.dist, mb.parent, mb.mv));
+        }
+    }
+
+    #[test]
+    fn batched_relax_matches_one_at_a_time() {
+        for kw in [1usize, 3, 6] {
+            let mut rng = rbp_util::Rng::new(0xa4e7 + kw as u64);
+            // A pool of distinct keys, drawn with repeats so batches mix
+            // new states, improvements and duplicates (including the same
+            // key twice in one batch), and enough of them to grow the
+            // table several times, partway through some batch.
+            let pool: Vec<u64> = (0..3000 * kw).map(|_| rng.next_u64()).collect();
+            let (mut batched, mut each) = (StateArena::new(kw), StateArena::new(kw));
+            let mut grew_mid_batch = false;
+            for _ in 0..600 {
+                let len = 1 + rng.index(24);
+                let mut keys = Vec::with_capacity(len * kw);
+                let mut dists = Vec::with_capacity(len);
+                for _ in 0..len {
+                    let k = rng.index(3000);
+                    keys.extend_from_slice(&pool[k * kw..(k + 1) * kw]);
+                    dists.push(rng.next_below(50));
+                }
+                let slots = batched.table.len();
+                let states = batched.len();
+                let got = relax_batch(&mut batched, &keys, &dists);
+                let new_states = batched.len() - states;
+                grew_mid_batch |= batched.table.len() != slots && new_states > 1;
+                assert_eq!(got, relax_each(&mut each, &keys, &dists), "kw={kw}");
+            }
+            assert!(grew_mid_batch, "kw={kw}: no batch grew the table");
+            assert!(batched.len() > 2048, "kw={kw}");
+            assert_same_arena(&batched, &each);
+        }
+    }
+
+    #[test]
+    fn batched_relax_same_key_twice() {
+        let key = [7u64, 8, 9];
+        let mut a = StateArena::new(3);
+        // The second copy improves on the first: both push.
+        let got = relax_batch(&mut a, &[key, key].concat(), &[5, 3]);
+        assert_eq!(got, vec![(0, true), (0, true)]);
+        assert_eq!((a.meta(0).dist, a.meta(0).mv), (3, 1));
+        // The second copy is worse: only the first relax counts.
+        let got = relax_batch(&mut a, &[key, key].concat(), &[2, 4]);
+        assert_eq!(got, vec![(0, true), (0, false)]);
+        assert_eq!((a.meta(0).dist, a.meta(0).mv), (2, 0));
+        assert_eq!(a.len(), 1);
+    }
+
+    #[test]
+    fn batched_relax_survives_grow_partway() {
+        let mut a = StateArena::new(2);
+        let mut b = StateArena::new(2);
+        // 500 states sit below the first grow at 512 (table of 1,024).
+        let pre: Vec<u64> = (0..1000u64).collect();
+        let pre_d = vec![9; 500];
+        relax_batch(&mut a, &pre, &pre_d);
+        relax_each(&mut b, &pre, &pre_d);
+        assert_eq!(a.table.len(), 1024);
+        // One batch of 35: ten known keys, then 25 new ones, the 12th of
+        // which grows the table — after every home slot was prefetched
+        // in the old one.
+        let mut keys: Vec<u64> = (0..20u64).collect();
+        keys.extend(5000..5050u64);
+        let dists = vec![1; 35];
+        let got = relax_batch(&mut a, &keys, &dists);
+        assert_eq!(a.table.len(), 2048, "the batch grew the table");
+        assert_eq!(got, relax_each(&mut b, &keys, &dists));
+        assert_same_arena(&a, &b);
+        // Every key is still found after the grow.
+        for (i, key) in keys.chunks(2).enumerate() {
+            let (idx, improved) = a.relax(key, hash_words(key), 1, 0, 0);
+            assert_eq!((idx, improved), (got[i].0, false));
+        }
     }
 }

@@ -57,13 +57,9 @@ use crate::search::{
 };
 use crate::spsc::{CachePadded, Spsc};
 
-/// Lazily evaluated admissible bound for an emitted successor: `None`
-/// marks the state provably dead. See [`Domain::expand`].
-pub type HeurThunk<'a> = &'a mut dyn FnMut() -> Option<u64>;
-
 /// Successor sink passed to [`Domain::expand`]: receives
-/// `(key, edge_cost, move, heuristic_thunk)` per canonical successor.
-pub type EmitFn<'a, K> = &'a mut dyn FnMut(K, u64, PackedMove, HeurThunk<'_>);
+/// `(key, edge_cost, move)` per canonical successor.
+pub type EmitFn<'a, K> = &'a mut dyn FnMut(K, u64, PackedMove);
 
 /// A solver-specific description of an implicit shortest-path space.
 ///
@@ -91,20 +87,11 @@ pub trait Domain: Sync {
     /// provably dead (never enqueued). Must return `Some(0)`-style
     /// constants when the heuristic is disabled in config so baselines
     /// stay comparable. The drivers call this for the root and for
-    /// states arriving over cross-shard channels; locally generated
-    /// successors carry the (incrementally evaluated) bound emitted by
-    /// [`Domain::expand`] instead.
+    /// every owned successor whose distance a relax created or
+    /// improved — never for the duplicates that make up most emitted
+    /// successors, whose bound is not needed.
     fn heuristic(&self, key: &Self::Key) -> Option<u64>;
-    /// Emits every canonical successor as `(key, edge_cost, move,
-    /// heuristic_thunk)`. The last component evaluates the successor's
-    /// own admissible bound on demand — `None` for provably dead
-    /// successors (interned but never enqueued), `Some(0)` when the
-    /// heuristic is disabled — so implementations can evaluate it
-    /// incrementally from the parent instead of having the driver
-    /// recompute it from scratch. The thunk is only invoked when the
-    /// relax actually improved a locally owned distance: most emitted
-    /// successors are duplicates (or ship to a foreign shard, which
-    /// re-evaluates on arrival), and their bound is never needed.
+    /// Emits every canonical successor as `(key, edge_cost, move)`.
     fn expand(&self, key: &Self::Key, scratch: &mut Self::Scratch, emit: EmitFn<'_, Self::Key>);
     /// Drains the phase counters [`Domain::expand`] accumulated into
     /// `scratch` since the last call. The default reports nothing;
@@ -173,6 +160,57 @@ pub fn search<D: Domain>(domain: &D, config: &SearchConfig) -> DriverOutcome<D::
 }
 
 // ---------------------------------------------------------------------
+// Batched relax
+// ---------------------------------------------------------------------
+
+/// One emitted successor staged for the batched relax: the canonical key
+/// with its packed words and their hash, plus the tentative distance and
+/// the move that reached it.
+///
+/// Both drivers relax one expansion's successors as a batch. The emit
+/// callback packs and hashes each successor into a reused buffer;
+/// [`StateArena::prefetch`] then pulls every home table slot, and after
+/// that the key and metadata each slot names, into cache; only then are
+/// the successors relaxed, in emission order. Relaxing in emission order
+/// keeps the sequential search identical to relaxing each successor as
+/// it is emitted; the batch only lets the arena's cache misses overlap.
+#[derive(Clone, Copy)]
+struct Staged<K> {
+    key: K,
+    words: [u64; MAX_KEY_WORDS],
+    hash: u64,
+    dist: u64,
+    mv: PackedMove,
+}
+
+impl<K: Copy> Staged<K> {
+    #[inline]
+    fn new<D: Domain<Key = K>>(domain: &D, kw: usize, key: K, dist: u64, mv: PackedMove) -> Self {
+        let mut words = [0u64; MAX_KEY_WORDS];
+        domain.pack(&key, &mut words[..kw]);
+        Staged {
+            key,
+            words,
+            hash: hash_words(&words[..kw]),
+            dist,
+            mv,
+        }
+    }
+}
+
+/// Starts a phase timer when phase timing is on.
+#[inline]
+fn timer(timing: bool) -> Option<Instant> {
+    timing.then(Instant::now)
+}
+
+/// Nanoseconds since a [`timer`] started (0 when timing is off).
+#[inline]
+fn lap(t0: Option<Instant>) -> u64 {
+    t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64)
+}
+
+// ---------------------------------------------------------------------
 // Sequential driver
 // ---------------------------------------------------------------------
 
@@ -211,9 +249,10 @@ fn sequential<D: Domain>(domain: &D, config: &SearchConfig) -> DriverOutcome<D::
     let mut phases = PhaseStats::default();
     let mut expand_ns = 0u64;
     let mut scratch = D::Scratch::default();
-    // The hot loop is allocation-free: successors are relaxed inline as
-    // the domain emits them from its scratch buffers, with no
-    // intermediate Vec.
+    // The hot loop is allocation-free: each expansion's successors are
+    // staged in this reused buffer, then prefetched and relaxed as one
+    // batch (see [`Staged`]).
+    let mut staged: Vec<Staged<D::Key>> = Vec::new();
     let mut best: Option<(u64, u64)> = None;
     let reason = loop {
         let Some((_, idx, d)) = frontier.pop() else {
@@ -237,39 +276,44 @@ fn sequential<D: Domain>(domain: &D, config: &SearchConfig) -> DriverOutcome<D::
                 break StopReason::Deadline;
             }
         }
-        let t_exp = if timing { Some(Instant::now()) } else { None };
-        domain.expand(&key, &mut scratch, &mut |k2, c, mv, hv| {
-            phases.emitted += 1;
-            let nd = d + c;
-            let ti = if timing { Some(Instant::now()) } else { None };
-            domain.pack(&k2, &mut wbuf[..kw]);
-            let h = hash_words(&wbuf[..kw]);
-            let (idx2, improved) = arena.relax(&wbuf[..kw], h, nd, gid(0, idx), mv);
-            if let Some(t0) = ti {
-                phases.hash_intern_ns += t0.elapsed().as_nanos() as u64;
-            }
-            if improved {
-                if let Some(hv) = hv() {
-                    let tq = if timing { Some(Instant::now()) } else { None };
-                    frontier.push(nd + hv, idx2, nd);
-                    stats.pushed += 1;
-                    stats.frontier_peak = stats.frontier_peak.max(frontier.len() as u64);
-                    if let Some(t0) = tq {
-                        phases.queue_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                }
-            }
+        let parent = gid(0, idx);
+        let t_exp = timer(timing);
+        staged.clear();
+        domain.expand(&key, &mut scratch, &mut |k2, c, mv| {
+            let ti = timer(timing);
+            staged.push(Staged::new(domain, kw, k2, d + c, mv));
+            phases.hash_intern_ns += lap(ti);
         });
-        if let Some(t0) = t_exp {
-            expand_ns += t0.elapsed().as_nanos() as u64;
+        phases.emitted += staged.len() as u64;
+        let ti = timer(timing);
+        arena.prefetch(staged.iter().map(|s| s.hash));
+        phases.hash_intern_ns += lap(ti);
+        for s in &staged {
+            let ti = timer(timing);
+            let (idx2, improved) = arena.relax(&s.words[..kw], s.hash, s.dist, parent, s.mv);
+            phases.hash_intern_ns += lap(ti);
+            if !improved {
+                continue;
+            }
+            let th = timer(timing);
+            let hv = domain.heuristic(&s.key);
+            phases.heuristic_ns += lap(th);
+            if let Some(hv) = hv {
+                let tq = timer(timing);
+                frontier.push(s.dist + hv, idx2, s.dist);
+                stats.pushed += 1;
+                stats.frontier_peak = stats.frontier_peak.max(frontier.len() as u64);
+                phases.queue_ns += lap(tq);
+            }
         }
+        expand_ns += lap(t_exp);
     };
     stats.arena_states = arena.len() as u64;
     stats.arena_peak_bytes = arena.bytes();
     phases.merge(&domain.take_phases(&mut scratch));
-    // Successor generation is the in-expand remainder: expand wall-clock
-    // minus the phases timed individually (all of which run inside
-    // expand or its emit callback).
+    // Successor generation is the remainder of the expansion step: its
+    // wall-clock (expand plus the batched relax) minus the phases timed
+    // individually.
     phases.succ_gen_ns = expand_ns.saturating_sub(phases.timed_ns());
     if let Some((d, goal_gid)) = best {
         let path = reconstruct_path(domain, &[&arena], goal_gid);
@@ -455,6 +499,8 @@ struct Worker<'a, D: Domain> {
     arena: StateArena,
     frontier: Frontier<u32>,
     scratch: D::Scratch,
+    /// Reused staging buffer for one expansion's owned successors.
+    staged: Vec<Staged<D::Key>>,
     timing: bool,
     phases: PhaseStats,
     expand_ns: u64,
@@ -476,11 +522,11 @@ impl<'a, D: Domain> Worker<'a, D> {
     /// Relaxes an owned state given its packed words and hash; enqueues
     /// it when the distance improved, the heuristic finds it alive, and
     /// its `f` still beats the incumbent. Returns whether the distance
-    /// was created or improved. Used for states arriving over channels,
-    /// where no parent heuristic context exists — the bound is
-    /// evaluated from scratch (and lazily, only on improvement). Runs
-    /// outside `expand`, so it is deliberately
-    /// untimed: the phase profile accounts the expansion path.
+    /// was created or improved. The bound is evaluated only on
+    /// improvement. With `timed`, the relax, the bound and the push are
+    /// accounted to the phase profile; states arriving over channels
+    /// are relaxed outside the expansion step and pass `false`, since
+    /// the profile accounts the expansion path only.
     #[inline]
     fn relax_owned(
         &mut self,
@@ -489,76 +535,48 @@ impl<'a, D: Domain> Worker<'a, D> {
         dist: u64,
         parent: u64,
         mv: PackedMove,
+        timed: bool,
     ) -> bool {
+        let ti = timer(timed);
         let (idx, improved) = self.arena.relax(words, hash, dist, parent, mv);
+        self.phases.hash_intern_ns += lap(ti);
         if improved {
-            let key = self.domain.unpack(words);
-            if let Some(hv) = self.domain.heuristic(&key) {
+            let th = timer(timed);
+            let hv = self.domain.heuristic(&self.domain.unpack(words));
+            self.phases.heuristic_ns += lap(th);
+            if let Some(hv) = hv {
                 let f = dist + hv;
                 if f < self.shared.incumbent.load(Ordering::Relaxed) {
+                    let tq = timer(timed);
                     self.frontier.push(f, idx, dist);
                     self.pushed += 1;
                     self.frontier_peak = self.frontier_peak.max(self.frontier.len() as u64);
+                    self.phases.queue_ns += lap(tq);
                 }
             }
         }
         improved
     }
 
-    /// [`Worker::relax_owned`] for locally generated successors, whose
-    /// admissible bound is evaluated lazily — the domain's incremental
-    /// thunk `hv` runs only when the distance actually improved.
-    #[inline]
-    fn relax_owned_h(
-        &mut self,
-        words: &[u64],
-        hash: u64,
-        dist: u64,
-        parent: u64,
-        mv: PackedMove,
-        hv: &mut dyn FnMut() -> Option<u64>,
-    ) {
-        let ti = if self.timing {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let (idx, improved) = self.arena.relax(words, hash, dist, parent, mv);
-        if let Some(t0) = ti {
-            self.phases.hash_intern_ns += t0.elapsed().as_nanos() as u64;
-        }
-        if improved {
-            if let Some(hv) = hv() {
-                let f = dist + hv;
-                if f < self.shared.incumbent.load(Ordering::Relaxed) {
-                    let tq = if self.timing {
-                        Some(Instant::now())
-                    } else {
-                        None
-                    };
-                    self.frontier.push(f, idx, dist);
-                    self.pushed += 1;
-                    self.frontier_peak = self.frontier_peak.max(self.frontier.len() as u64);
-                    if let Some(t0) = tq {
-                        self.phases.queue_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drains every inbox once; returns whether any block arrived.
+    /// Drains every inbox once; returns whether any block arrived. Each
+    /// block is relaxed as a batch: the arena memory of all its
+    /// messages is prefetched before the first relax.
     fn drain_inboxes(&mut self) -> bool {
+        let kw = self.kw;
         let mut any = false;
         for from in 0..self.threads {
             if from == self.me {
                 continue;
             }
             while let Some(blk) = self.chans[from * self.threads + self.me].try_pop() {
-                for j in 0..blk.len as usize {
-                    let m = blk.msgs[j];
-                    let h = hash_words(&m.words[..self.kw]);
-                    if !self.relax_owned(&m.words[..self.kw], h, m.dist, m.parent, m.mv) {
+                let msgs = &blk.msgs[..blk.len as usize];
+                let mut hashes = [0u64; BLOCK_CAP];
+                for (h, m) in hashes.iter_mut().zip(msgs) {
+                    *h = hash_words(&m.words[..kw]);
+                }
+                self.arena.prefetch(hashes[..msgs.len()].iter().copied());
+                for (m, &h) in msgs.iter().zip(&hashes) {
+                    if !self.relax_owned(&m.words[..kw], h, m.dist, m.parent, m.mv, false) {
                         self.dup_msgs += 1;
                     }
                     self.received += 1;
@@ -711,41 +729,32 @@ impl<'a, D: Domain> Worker<'a, D> {
                     }
                 }
                 let parent = gid(self.me, idx);
-                // Take the scratch out of `self` so the emit closure can
-                // borrow the rest of the worker mutably; successors are
-                // relaxed or shipped inline, with no intermediate Vec.
+                // Take the scratch and the staging buffer out of `self`
+                // so the emit closure can borrow the rest of the worker
+                // mutably. Foreign successors ship as they are emitted;
+                // owned ones are staged and relaxed as one batch.
                 let mut scratch = std::mem::take(&mut self.scratch);
-                let t_exp = if self.timing {
-                    Some(Instant::now())
-                } else {
-                    None
-                };
-                domain.expand(&key, &mut scratch, &mut |k2, c, mv, hv| {
+                let mut staged = std::mem::take(&mut self.staged);
+                staged.clear();
+                let timing = self.timing;
+                let t_exp = timer(timing);
+                domain.expand(&key, &mut scratch, &mut |k2, c, mv| {
                     self.phases.emitted += 1;
                     let nd = d + c;
                     if nd >= self.shared.incumbent.load(Ordering::Relaxed) {
                         return;
                     }
-                    let ti = if self.timing {
-                        Some(Instant::now())
-                    } else {
-                        None
-                    };
-                    let mut wbuf = [0u64; MAX_KEY_WORDS];
-                    domain.pack(&k2, &mut wbuf[..kw]);
-                    let h = hash_words(&wbuf[..kw]);
-                    let owner = domain.owner(&k2, h, self.threads);
-                    if let Some(t0) = ti {
-                        self.phases.hash_intern_ns += t0.elapsed().as_nanos() as u64;
-                    }
+                    let ti = timer(timing);
+                    let s = Staged::new(domain, kw, k2, nd, mv);
+                    let owner = domain.owner(&k2, s.hash, self.threads);
+                    self.phases.hash_intern_ns += lap(ti);
                     if owner == self.me {
-                        self.local_succs += 1;
-                        self.relax_owned_h(&wbuf[..kw], h, nd, parent, mv, hv);
+                        staged.push(s);
                     } else {
                         self.buffer_send(
                             owner,
                             Msg {
-                                words: wbuf,
+                                words: s.words,
                                 dist: nd,
                                 parent,
                                 mv,
@@ -753,10 +762,16 @@ impl<'a, D: Domain> Worker<'a, D> {
                         );
                     }
                 });
-                if let Some(t0) = t_exp {
-                    self.expand_ns += t0.elapsed().as_nanos() as u64;
+                self.local_succs += staged.len() as u64;
+                let ti = timer(timing);
+                self.arena.prefetch(staged.iter().map(|s| s.hash));
+                self.phases.hash_intern_ns += lap(ti);
+                for s in &staged {
+                    self.relax_owned(&s.words[..kw], s.hash, s.dist, parent, s.mv, timing);
                 }
+                self.expand_ns += lap(t_exp);
                 self.scratch = scratch;
+                self.staged = staged;
             }
             if !progress {
                 // Local frontier exhausted: ship partial blocks so no
@@ -845,6 +860,7 @@ fn parallel<D: Domain>(domain: &D, config: &SearchConfig, threads: usize) -> Dri
                         arena: StateArena::new(kw),
                         frontier: Frontier::new(max_priority),
                         scratch: D::Scratch::default(),
+                        staged: Vec::new(),
                         timing: phase_timing_enabled(),
                         phases: PhaseStats::default(),
                         expand_ns: 0,

@@ -35,6 +35,8 @@
 #![deny(missing_docs)]
 
 mod arena;
+#[doc(hidden)]
+pub mod arenabench;
 pub mod cost;
 mod driver;
 pub mod mode;

@@ -463,15 +463,7 @@ impl Domain for MppDomain {
                 }
                 prof.stop_canon(t0);
             }
-            emit(raw, cost, mv, &mut || {
-                if !self.use_heuristic {
-                    return Some(0);
-                }
-                let t0 = prof.start();
-                let hv = self.heur.eval(raw.red_all(), raw.outer(), 0);
-                prof.stop_heur(t0);
-                hv
-            });
+            emit(raw, cost, mv);
         };
 
         // --- R4: lazy red eviction on full processors (cost 0). ---
@@ -880,7 +872,7 @@ pub mod probe {
 
     fn expand_into(domain: &MppDomain, key: &Key, scratch: &mut MppScratch) -> Vec<Succ> {
         let mut out = Vec::new();
-        domain.expand(key, scratch, &mut |k2, c, _mv, _hv| {
+        domain.expand(key, scratch, &mut |k2, c, _mv| {
             out.push(Succ {
                 reds: k2.reds,
                 green: k2.green,
@@ -1165,6 +1157,19 @@ mod tests {
             "settled {} states",
             out.stats.settled
         );
+    }
+
+    #[test]
+    fn sequential_search_on_grid3x3_is_pinned() {
+        // The exact t=1 counts of the scripts/ci.sh perf guard instance.
+        // They depend only on the domain, the heuristic and the frontier
+        // order: a change to the drivers alone (batching, prefetching,
+        // buffering) must never move them.
+        let d = generators::grid(3, 3);
+        let out = solve_with(&MppInstance::new(&d, 2, 3, 2), &SearchConfig::default());
+        assert_eq!(out.solution.map(|s| s.total), Some(11));
+        assert_eq!(out.stats.settled, 13_946);
+        assert_eq!(out.stats.pushed, 51_372);
     }
 
     #[test]

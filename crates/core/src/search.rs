@@ -456,10 +456,12 @@ pub struct PhaseStats {
     pub canonicalize_ns: u64,
     /// Time evaluating the admissible bound.
     pub heuristic_ns: u64,
-    /// Time enumerating rule batches and building successor keys:
-    /// expand wall-clock minus the other in-expand phases.
+    /// Time enumerating rule batches and building successor keys: the
+    /// wall-clock of the expansion step (`Domain::expand` plus the
+    /// batched relax of its successors) minus the other phases.
     pub succ_gen_ns: u64,
-    /// Time packing, hashing, and interning successors into the arena.
+    /// Time packing, hashing, prefetching and interning successors into
+    /// the arena.
     pub hash_intern_ns: u64,
     /// Time pushing improved successors onto the frontier.
     pub queue_ns: u64,
@@ -582,14 +584,6 @@ impl PhaseProf {
     pub(crate) fn stop_canon(&mut self, t0: Option<std::time::Instant>) {
         if let Some(t0) = t0 {
             self.stats.canonicalize_ns += t0.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// Accounts a started timer to the heuristic phase.
-    #[inline]
-    pub(crate) fn stop_heur(&mut self, t0: Option<std::time::Instant>) {
-        if let Some(t0) = t0 {
-            self.stats.heuristic_ns += t0.elapsed().as_nanos() as u64;
         }
     }
 

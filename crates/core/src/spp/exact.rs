@@ -223,19 +223,6 @@ impl Domain for SppDomain {
             computed,
         } = *key;
         let one_shot = self.one_shot;
-        let prof = &mut scratch.prof;
-
-        let mut emit_one = |nk: Key, cost: u64, mv: PackedMove| {
-            emit(nk, cost, mv, &mut || {
-                if !self.use_heuristic {
-                    return Some(0);
-                }
-                let t0 = prof.start();
-                let hv = self.heur.eval(nk.red, nk.blue, nk.computed);
-                prof.stop_heur(t0);
-                hv
-            });
-        };
 
         let mut suppressed = 0u64;
         let red_count = red.count_ones() as usize;
@@ -270,7 +257,7 @@ impl Domain for SppDomain {
                     blue,
                     computed: if one_shot { computed | b } else { 0 },
                 };
-                emit_one(nk, self.compute, encode(TAG_COMPUTE, i as u32));
+                emit(nk, self.compute, encode(TAG_COMPUTE, i as u32));
             }
             // Load moves.
             for i in iter_bits(blue & !red) {
@@ -279,7 +266,7 @@ impl Domain for SppDomain {
                     blue,
                     computed,
                 };
-                emit_one(nk, self.g, encode(TAG_LOAD, i));
+                emit(nk, self.g, encode(TAG_LOAD, i));
             }
         } else if !self.no_delete {
             // At (or above) capacity: lazy eviction.
@@ -289,7 +276,7 @@ impl Domain for SppDomain {
                     blue,
                     computed,
                 };
-                emit_one(nk, 0, encode(TAG_REMOVE, i));
+                emit(nk, 0, encode(TAG_REMOVE, i));
             }
         }
         // Store moves (legal at any occupancy). Storing an already-blue
@@ -300,7 +287,7 @@ impl Domain for SppDomain {
                 blue: blue | (1 << i),
                 computed,
             };
-            emit_one(nk, self.g, encode(TAG_STORE, i));
+            emit(nk, self.g, encode(TAG_STORE, i));
         }
         scratch.prof.stats.idle_suppressed += suppressed;
     }
@@ -466,7 +453,7 @@ pub mod probe {
 
     fn expand_into(domain: &SppDomain, key: &Key, scratch: &mut SppScratch) -> Vec<Succ> {
         let mut out = Vec::new();
-        domain.expand(key, scratch, &mut |k2, c, _mv, _hv| {
+        domain.expand(key, scratch, &mut |k2, c, _mv| {
             out.push(Succ {
                 red: k2.red,
                 blue: k2.blue,

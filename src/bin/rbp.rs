@@ -61,6 +61,7 @@
 //! documents the JSONL schema); `rbp report` renders such a file back
 //! into the tables and counters it contains.
 
+use std::io::{BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 
 use rbp::bounds::trivial;
@@ -77,17 +78,54 @@ use rbp::util::env_seed;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     init_trace(&args);
-    let result = run(&args);
+    // Every subcommand writes through one locked, buffered stdout.
+    let mut stdout = BufWriter::new(std::io::stdout().lock());
+    let result = run(&args, &mut stdout);
+    let flushed = stdout.flush();
+    let result = result.and_then(|()| flushed.map_err(CliError::Output));
     rbp::trace::uninstall();
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        // The reader closed the pipe (`rbp gen … | head -1`): it has all
+        // the output it wants, so stopping here is a clean exit.
+        Err(CliError::Output(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(CliError::Output(e)) => {
+            eprintln!("error: writing output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!(
                 "usage: rbp <stats|schedule|solve|improve|portfolio|bounds|dot|gen|report|serve> …  (see docs in src/bin/rbp.rs)"
             );
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Why a subcommand stopped early.
+enum CliError {
+    /// Bad arguments or a failed operation, reported with the usage line.
+    Usage(String),
+    /// Writing to stdout failed.
+    Output(std::io::Error),
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Usage(msg)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> Self {
+        CliError::Usage(msg.to_string())
+    }
+}
+
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::Output(e)
     }
 }
 
@@ -115,13 +153,13 @@ fn init_trace(args: &[String]) {
     rbp::trace::install(Box::new(sink), manifest);
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], stdout: &mut impl Write) -> Result<(), CliError> {
     let cmd = args.first().ok_or("missing subcommand")?;
     match cmd.as_str() {
         "stats" => {
             let dag = load(args.get(1))?;
-            println!("{}", dag.name());
-            println!("{}", DagStats::compute(&dag));
+            writeln!(stdout, "{}", dag.name())?;
+            writeln!(stdout, "{}", DagStats::compute(&dag))?;
             Ok(())
         }
         "schedule" => {
@@ -134,16 +172,18 @@ fn run(args: &[String]) -> Result<(), String> {
             let mode = game_mode(args)?;
             if args.iter().any(|a| a == "--stream") {
                 if mode.is_hier() {
-                    return Err("--stream is two-level only (drop --levels 3)".to_string());
+                    return Err("--stream is two-level only (drop --levels 3)"
+                        .to_string()
+                        .into());
                 }
-                return schedule_stream(&dag, k, r, g, want, flag_value(args, "--out")?);
+                return schedule_stream(stdout, &dag, k, r, g, want, flag_value(args, "--out")?);
             }
             let inst = MppInstance::new(&dag, k, r, g);
             if let Some(hinst) = HierInstance::from_mode(&inst, mode) {
-                return schedule_hier(&hinst, want);
+                return schedule_hier(stdout, &hinst, want);
             }
             if !inst.is_feasible() {
-                return Err(format!("infeasible: need r ≥ {}", dag.max_in_degree() + 1));
+                return Err(format!("infeasible: need r ≥ {}", dag.max_in_degree() + 1).into());
             }
             let mut any = false;
             for s in all_schedulers() {
@@ -160,7 +200,8 @@ fn run(args: &[String]) -> Result<(), String> {
                     .validate(&inst)
                     .map_err(|e| e.to_string())?
                     .total(inst.model);
-                println!(
+                writeln!(
+                    stdout,
                     "{:<50} total={:<6} io_steps={:<5} surplus={:<6} comm={:<5} spill={:<5} recompute={:<4} async={:<6} batchified={}",
                     s.name(),
                     stats.total,
@@ -171,10 +212,10 @@ fn run(args: &[String]) -> Result<(), String> {
                     stats.recomputations,
                     asy,
                     batched,
-                );
+                )?;
             }
             if !any {
-                return Err(format!("no scheduler matches '{}'", want.unwrap_or("")));
+                return Err(format!("no scheduler matches '{}'", want.unwrap_or("")).into());
             }
             Ok(())
         }
@@ -207,7 +248,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 let sol = out
                     .solution
                     .ok_or_else(|| solve_failure(&out.reason, &config))?;
-                println!(
+                writeln!(
+                    stdout,
                     "OPT = {} ({}; mode={}; {} moves; {} settled, {} thread{})",
                     sol.total,
                     sol.cost,
@@ -216,9 +258,9 @@ fn run(args: &[String]) -> Result<(), String> {
                     out.stats.settled,
                     out.stats.threads,
                     if out.stats.threads == 1 { "" } else { "s" }
-                );
+                )?;
                 for mv in &sol.strategy.moves {
-                    println!("  {mv}");
+                    writeln!(stdout, "  {mv}")?;
                 }
                 return Ok(());
             }
@@ -226,7 +268,8 @@ fn run(args: &[String]) -> Result<(), String> {
             let sol = out
                 .solution
                 .ok_or_else(|| solve_failure(&out.reason, &config))?;
-            println!(
+            writeln!(
+                stdout,
                 "OPT = {} ({}; {} moves; {} settled, {} thread{})",
                 sol.total,
                 sol.cost,
@@ -234,9 +277,9 @@ fn run(args: &[String]) -> Result<(), String> {
                 out.stats.settled,
                 out.stats.threads,
                 if out.stats.threads == 1 { "" } else { "s" }
-            );
+            )?;
             for mv in &sol.strategy.moves {
-                println!("  {mv}");
+                writeln!(stdout, "  {mv}")?;
             }
             Ok(())
         }
@@ -245,7 +288,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let (k, r, g) = krg(args)?;
             let inst = MppInstance::new(&dag, k, r, g);
             if !inst.is_feasible() {
-                return Err(format!("infeasible: need r ≥ {}", dag.max_in_degree() + 1));
+                return Err(format!("infeasible: need r ≥ {}", dag.max_in_degree() + 1).into());
             }
             let budget = flag_value(args, "--budget-ms")?.map_or(Ok(1000), |v| {
                 v.parse::<u64>().map_err(|_| "bad --budget-ms".to_string())
@@ -255,7 +298,9 @@ fn run(args: &[String]) -> Result<(), String> {
                 "hill" => Driver::HillClimb,
                 "anneal" => Driver::Anneal,
                 "lns" => Driver::Lns,
-                other => return Err(format!("unknown driver '{other}' (auto|hill|anneal|lns)")),
+                other => {
+                    return Err(format!("unknown driver '{other}' (auto|hill|anneal|lns)").into())
+                }
             };
 
             // Initial strategy: a saved file, or the best scheduler result.
@@ -275,7 +320,8 @@ fn run(args: &[String]) -> Result<(), String> {
                             k,
                             r,
                             g
-                        ));
+                        )
+                        .into());
                     }
                     (saved.strategy, format!("saved:{path}"))
                 }
@@ -308,11 +354,12 @@ fn run(args: &[String]) -> Result<(), String> {
                 driver,
             };
             let out = rbp::refine::refine(&inst, &initial, &cfg).map_err(|e| e.to_string())?;
-            println!("initial  total={:<6} ({origin})", out.initial_total);
-            println!(
+            writeln!(stdout, "initial  total={:<6} ({origin})", out.initial_total)?;
+            writeln!(
+                stdout,
                 "refined  total={:<6} ({}; {} proposals, {} accepted)",
                 out.total, out.provenance, out.proposals, out.accepted
-            );
+            )?;
             if let Some(path) = flag_value(args, "--out")? {
                 let saved = persist::SavedStrategy {
                     dag_name: dag.name().to_string(),
@@ -324,7 +371,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 };
                 std::fs::write(path, persist::strategy_to_jsonl(&saved))
                     .map_err(|e| format!("{path}: {e}"))?;
-                println!("saved    {path}");
+                writeln!(stdout, "saved    {path}")?;
             }
             Ok(())
         }
@@ -333,7 +380,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let (k, r, g) = krg(args)?;
             let inst = MppInstance::new(&dag, k, r, g);
             if !inst.is_feasible() {
-                return Err(format!("infeasible: need r ≥ {}", dag.max_in_degree() + 1));
+                return Err(format!("infeasible: need r ≥ {}", dag.max_in_degree() + 1).into());
             }
             let budget = flag_value(args, "--budget-ms")?.map_or(Ok(1000), |v| {
                 v.parse::<u64>().map_err(|_| "bad --budget-ms".to_string())
@@ -356,8 +403,10 @@ fn run(args: &[String]) -> Result<(), String> {
             let out = rbp::refine::race(&inst, &cfg).map_err(|e| e.to_string())?;
             for e in &out.entries {
                 match e.total {
-                    Some(t) => println!("{:<24} total={:<6} {:>6} ms", e.name, t, e.millis),
-                    None => println!("{:<24} total=-      {:>6} ms", e.name, e.millis),
+                    Some(t) => {
+                        writeln!(stdout, "{:<24} total={:<6} {:>6} ms", e.name, t, e.millis)?
+                    }
+                    None => writeln!(stdout, "{:<24} total=-      {:>6} ms", e.name, e.millis)?,
                 }
             }
             let baseline = out
@@ -366,10 +415,11 @@ fn run(args: &[String]) -> Result<(), String> {
                 .and_then(|e| e.total)
                 .expect("baseline scheduler always reports a cost");
             // Machine-parseable summary line (consumed by scripts/ci.sh).
-            println!(
+            writeln!(
+                stdout,
                 "PORTFOLIO winner={} total={} baseline={} optimal={}",
                 out.provenance, out.total, baseline, out.proven_optimal
-            );
+            )?;
             Ok(())
         }
         "bounds" => {
@@ -379,33 +429,33 @@ fn run(args: &[String]) -> Result<(), String> {
             let mode = game_mode(args)?;
             if let Some(hinst) = HierInstance::from_mode(&inst, mode) {
                 use rbp::bounds::hier;
-                println!("mode: {}", mode.token());
-                println!("feasible (r ≥ Δin+1): {}", hier::feasible(&dag, r));
-                println!("hier lower:      {}", hier::lower(&hinst));
-                println!("hier upper:      {}", hier::upper(&hinst));
+                writeln!(stdout, "mode: {}", mode.token())?;
+                writeln!(stdout, "feasible (r ≥ Δin+1): {}", hier::feasible(&dag, r))?;
+                writeln!(stdout, "hier lower:      {}", hier::lower(&hinst))?;
+                writeln!(stdout, "hier upper:      {}", hier::upper(&hinst))?;
                 match hier::green_upper(&hinst) {
-                    Some(b) => println!("green upper:     {b}"),
-                    None => println!("green upper:     - (green-cap < n)"),
+                    Some(b) => writeln!(stdout, "green upper:     {b}")?,
+                    None => writeln!(stdout, "green upper:     - (green-cap < n)")?,
                 }
-                println!("best upper:      {}", hier::best_upper(&hinst));
+                writeln!(stdout, "best upper:      {}", hier::best_upper(&hinst))?;
                 return Ok(());
             }
-            println!("feasible (r ≥ Δin+1): {}", inst.is_feasible());
-            println!("Lemma 1 lower:  {}", trivial::lower(&inst));
-            println!("Lemma 1 upper:  {}", trivial::upper(&inst));
-            println!("greedy factor:  {}", trivial::greedy_factor(&inst));
+            writeln!(stdout, "feasible (r ≥ Δin+1): {}", inst.is_feasible())?;
+            writeln!(stdout, "Lemma 1 lower:  {}", trivial::lower(&inst))?;
+            writeln!(stdout, "Lemma 1 upper:  {}", trivial::upper(&inst))?;
+            writeln!(stdout, "greedy factor:  {}", trivial::greedy_factor(&inst))?;
             Ok(())
         }
         "dot" => {
             let dag = load(args.get(1))?;
-            print!("{}", dot::to_dot(&dag, &dot::DotOptions::default()));
+            write!(stdout, "{}", dot::to_dot(&dag, &dot::DotOptions::default()))?;
             Ok(())
         }
         "report" => {
             let path = args.get(1).ok_or("report: missing trace file")?;
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let rendered = rbp::trace::report::render(&text)?;
-            print!("{rendered}");
+            write!(stdout, "{rendered}")?;
             Ok(())
         }
         "gen" => {
@@ -415,7 +465,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 .map(|s| s.parse().map_err(|_| format!("bad number '{s}'")))
                 .collect::<Result<_, _>>()?;
             let dag = rbp::serve::build_dag(family, &nums)?;
-            print!("{}", io::to_text(&dag));
+            write!(stdout, "{}", io::to_text(&dag))?;
             Ok(())
         }
         "serve" => {
@@ -448,12 +498,18 @@ fn run(args: &[String]) -> Result<(), String> {
                 .map(|d| format!(" (store: {d})"))
                 .unwrap_or_default();
             let server = rbp::serve::Server::start(cfg).map_err(|e| format!("serve: {e}"))?;
-            println!("rbp-serve listening on {}{store_note}", server.addr());
+            writeln!(
+                stdout,
+                "rbp-serve listening on {}{store_note}",
+                server.addr()
+            )?;
+            // Scripts wait for this line to learn the bound address.
+            stdout.flush()?;
             server.wait();
-            println!("rbp-serve drained, exiting");
+            writeln!(stdout, "rbp-serve drained, exiting")?;
             Ok(())
         }
-        other => Err(format!("unknown subcommand '{other}'")),
+        other => Err(format!("unknown subcommand '{other}'").into()),
     }
 }
 
@@ -464,13 +520,14 @@ fn run(args: &[String]) -> Result<(), String> {
 /// scheduler's strategy streams to JSONL re-loadable by
 /// `rbp improve --in`.
 fn schedule_stream(
+    stdout: &mut impl Write,
     dag: &Dag,
     k: usize,
     r: usize,
     g: u64,
     want: Option<&str>,
-    out: Option<&str>,
-) -> Result<(), String> {
+    save: Option<&str>,
+) -> Result<(), CliError> {
     use rbp::stream::{all_stream_schedulers, JsonlSink, NullSink, StreamHeader};
     let model = rbp::core::CostModel::mpp(g);
     let selected: Vec<_> = all_stream_schedulers()
@@ -478,12 +535,9 @@ fn schedule_stream(
         .filter(|s| want.is_none_or(|w| s.name().contains(w)))
         .collect();
     if selected.is_empty() {
-        return Err(format!(
-            "no streaming scheduler matches '{}'",
-            want.unwrap_or("")
-        ));
+        return Err(format!("no streaming scheduler matches '{}'", want.unwrap_or("")).into());
     }
-    if out.is_some() && selected.len() > 1 {
+    if save.is_some() && selected.len() > 1 {
         return Err(format!(
             "--out needs exactly one scheduler; name one of: {}",
             selected
@@ -491,10 +545,11 @@ fn schedule_stream(
                 .map(|s| s.name())
                 .collect::<Vec<_>>()
                 .join(", ")
-        ));
+        )
+        .into());
     }
     for s in selected {
-        let run = if let Some(path) = out {
+        let run = if let Some(path) = save {
             let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
             let header = StreamHeader {
                 dag_name: dag.name().to_string(),
@@ -510,7 +565,7 @@ fn schedule_stream(
             sink.into_inner()
                 .and_then(|f| f.sync_all())
                 .map_err(|e| format!("{path}: {e}"))?;
-            println!("saved {path} ({} bytes)", run.bytes_emitted);
+            writeln!(stdout, "saved {path} ({} bytes)", run.bytes_emitted)?;
             run
         } else {
             let mut sink = NullSink::new();
@@ -518,7 +573,8 @@ fn schedule_stream(
                 .map_err(|e| format!("{}: {e}", s.name()))?
         };
         rbp::stream::trace_stream_run(&s.name(), &run);
-        println!(
+        writeln!(
+                    stdout,
             "{:<24} total={:<8} io_steps={:<7} moves={:<8} passes={:<2} peak_active={:<6} nodes/s={:.0}",
             s.name(),
             run.cost.total(model),
@@ -527,7 +583,7 @@ fn schedule_stream(
             run.passes,
             run.peak_active_set,
             run.nodes_per_sec(),
-        );
+        )?;
     }
     Ok(())
 }
@@ -535,12 +591,13 @@ fn schedule_stream(
 /// `rbp schedule … --levels 3`: run the three-level schedulers and
 /// print a cost breakdown with blue and green traffic attributed
 /// separately.
-fn schedule_hier(inst: &HierInstance, want: Option<&str>) -> Result<(), String> {
+fn schedule_hier(
+    stdout: &mut impl Write,
+    inst: &HierInstance,
+    want: Option<&str>,
+) -> Result<(), CliError> {
     if !inst.is_feasible() {
-        return Err(format!(
-            "infeasible: need r ≥ {}",
-            inst.dag.max_in_degree() + 1
-        ));
+        return Err(format!("infeasible: need r ≥ {}", inst.dag.max_in_degree() + 1).into());
     }
     let mut any = false;
     for s in all_hier_schedulers() {
@@ -551,7 +608,8 @@ fn schedule_hier(inst: &HierInstance, want: Option<&str>) -> Result<(), String> 
         }
         any = true;
         let run = s.schedule(inst).map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+                    stdout,
             "{:<50} total={:<6} io_steps={:<5} green_io={:<5} green_stores={:<5} green_loads={:<5} computes={}",
             s.name(),
             run.cost.total(inst.model),
@@ -560,10 +618,10 @@ fn schedule_hier(inst: &HierInstance, want: Option<&str>) -> Result<(), String> 
             run.cost.green_stores,
             run.cost.green_loads,
             run.cost.computes,
-        );
+        )?;
     }
     if !any {
-        return Err(format!("no scheduler matches '{}'", want.unwrap_or("")));
+        return Err(format!("no scheduler matches '{}'", want.unwrap_or("")).into());
     }
     Ok(())
 }
